@@ -51,7 +51,6 @@ from repro.core.telemetry import EvalStats, TraceWriter
 from repro.core.types import PrecisionConfig
 from repro.core.variables import Granularity, SearchSpace
 from repro.errors import MixPBenchError, SearchBudgetExceeded
-from repro.runtime import fuse as _fuse
 from repro.runtime.cache import EvaluationCache, context_fingerprint
 from repro.verify.quality import QualitySpec
 from repro.runtime.machine import DEFAULT_MACHINE, MachineModel
@@ -205,11 +204,6 @@ class ConfigurationEvaluator:
         #: last-seen executor incident counters, so shared executors
         #: contribute only the *delta* produced under this evaluator
         self._fault_seen = executor.fault_counters() if executor is not None else {}
-        #: last-seen trace-fusion counters (fuse.STATS is process
-        #: global), same delta discipline.  Process-pool workers fuse
-        #: in their own processes, so their activity is not visible
-        #: here — these counters cover in-process executions only.
-        self._fuse_seen = _fuse.STATS.snapshot()
 
         self._cluster_space = program.search_space(Granularity.CLUSTER)
         self.space_override = space_override
@@ -262,7 +256,6 @@ class ConfigurationEvaluator:
             program.runs_per_config, self._effective_noise(),
         )
         self.analysis_seconds += self._run_cost(baseline_seconds)
-        self._sync_fuse_stats()
 
     def _effective_noise(self) -> float:
         """Wall-clock timings carry their own physical jitter; only the
@@ -415,7 +408,6 @@ class ConfigurationEvaluator:
         results = self.executor.run(self.program, pending)
         self.stats.wall_seconds += time.perf_counter() - started
         self._sync_fault_stats()
-        self._sync_fuse_stats()
         self.stats.prefetched_executions += len(pending)
         self._staged.update(zip(pending, results))
         if self.trace is not None:
@@ -516,19 +508,6 @@ class ConfigurationEvaluator:
                 setattr(self.stats, name, getattr(self.stats, name) + delta)
         self._fault_seen = current
 
-    def _sync_fuse_stats(self) -> None:
-        """Fold the process-global trace-fusion counters into this
-        evaluator's stats, delta-based like :meth:`_sync_fault_stats`
-        (several evaluators — or the service's shard workers — share
-        one ``fuse.STATS``)."""
-        current = _fuse.STATS.snapshot()
-        for name, value in current.items():
-            delta = value - self._fuse_seen.get(name, 0)
-            if delta:
-                attr = "fuse_" + name
-                setattr(self.stats, attr, getattr(self.stats, attr) + delta)
-        self._fuse_seen = current
-
     def _execute_or_fail(
         self, config: PrecisionConfig
     ) -> tuple[ExecutionResult, float] | None:
@@ -553,7 +532,6 @@ class ConfigurationEvaluator:
             finally:
                 self.stats.wall_seconds += time.perf_counter() - started
                 self._sync_fault_stats()
-                self._sync_fuse_stats()
             if isinstance(result, ExecutionFailure):
                 return None
             return result, result.modeled_seconds
@@ -564,7 +542,6 @@ class ConfigurationEvaluator:
             return None
         finally:
             self.stats.wall_seconds += time.perf_counter() - started
-            self._sync_fuse_stats()
 
     def _run_fresh(self, config: PrecisionConfig, index: int) -> TrialRecord:
         if not self._cluster_space.is_compilable(config):

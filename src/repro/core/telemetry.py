@@ -60,18 +60,6 @@ class EvalStats:
     #: nonzero so screening-off payloads stay byte-identical to
     #: releases that predate the counter.
     screened: int = 0
-    #: trace-fusion counters (see repro.runtime.fuse): deltas of the
-    #: process-global fuse.STATS attributable to this evaluator's
-    #: in-process executions.  Deliberately NOT part of as_dict(): a
-    #: resumed/replayed run performs zero fresh executions, so folding
-    #: these into persisted payloads would break the bit-identical
-    #: resume guarantee.  They are diagnostics, reported separately.
-    fuse_regions_compiled: int = 0
-    fuse_regions_loaded: int = 0
-    fuse_region_replays: int = 0
-    fuse_fused_ops: int = 0
-    fuse_guard_misses: int = 0
-    fuse_fallback_breaks: int = 0
     #: free-form labels (strategy name, program) attached by callers
     labels: dict[str, str] = field(default_factory=dict)
 
@@ -105,19 +93,6 @@ class EvalStats:
             payload["labels"] = dict(self.labels)
         return payload
 
-    def fusion_summary(self) -> dict[str, int]:
-        """The trace-fusion counter block (kept out of :meth:`as_dict`;
-        see the field comments).  Empty when no fusion activity was
-        observed, so callers can skip the report line entirely."""
-        fields = (
-            "fuse_regions_compiled", "fuse_regions_loaded",
-            "fuse_region_replays", "fuse_fused_ops",
-            "fuse_guard_misses", "fuse_fallback_breaks",
-        )
-        if not any(getattr(self, name) for name in fields):
-            return {}
-        return {name.removeprefix("fuse_"): getattr(self, name) for name in fields}
-
     def merge(self, other: "EvalStats") -> None:
         """Accumulate another evaluator's counters (harness totals)."""
         self.evaluations += other.evaluations
@@ -134,12 +109,6 @@ class EvalStats:
         self.worker_restarts += other.worker_restarts
         self.redispatched += other.redispatched
         self.screened += other.screened
-        self.fuse_regions_compiled += other.fuse_regions_compiled
-        self.fuse_regions_loaded += other.fuse_regions_loaded
-        self.fuse_region_replays += other.fuse_region_replays
-        self.fuse_fused_ops += other.fuse_fused_ops
-        self.fuse_guard_misses += other.fuse_guard_misses
-        self.fuse_fallback_breaks += other.fuse_fallback_breaks
 
 
 class TraceWriter:

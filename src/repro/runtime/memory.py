@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.core.types import CustomFormat, Precision, PrecisionConfig
 from repro.errors import MixPBenchError, UnknownVariableError
-from repro.runtime import fuse as _fuse
 from repro.runtime import mparray as _mparray
 from repro.runtime.mparray import MPArray, QuantizedMPArray, unwrap
 from repro.runtime.profiler import Profile
@@ -89,10 +88,6 @@ class Workspace:
         # measurable on the small kernels.
         self._name_map: Mapping[str, str] = name_map if name_map is not None else {}
         self.profile = Profile()
-        # Per-execution trace-fusion recorder (None when fusion is off
-        # or the runtime is in reference mode — reference recording
-        # must never take a compiled path).
-        self.profile.fuse = _fuse.plain_tracer(self.profile)
         if rng_cache is not None:
             self.rng: Any = ReplayGenerator(seed, rng_cache)
         else:
@@ -152,14 +147,6 @@ class Workspace:
         dtype = self.dtype_of(name)
         if (shape is None) == (init is None):
             raise ValueError("provide exactly one of shape= or init=")
-        # A declaration may adopt (elide) or convert a traced buffer,
-        # after which the tracer's identity assumptions are void: end
-        # any active fused region and learning chain first.  This also
-        # releases the tracer's strong temp refs so the elision
-        # refcount tests below see the true counts.
-        tracer = self.profile.fuse
-        if tracer is not None:
-            tracer.foreign()
         if init is not None:
             # Initialisation happens in the variable's own type (a C
             # kernel writes `x[i] = (float)f(i)` directly), so the

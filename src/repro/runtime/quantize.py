@@ -19,10 +19,9 @@ Two rounding modes are supported:
 * **stochastic** (``sr`` formats): truncate, then round up with
   probability ``tail / 2**s`` using a per-variable
   ``numpy.random.Generator`` seeded from the workspace seed and the
-  variable uid.  Store order is deterministic (quantisation sites are
-  structurally outside fused regions), so the draw stream — and hence
-  every run — replays bit-identically across interpreted, fused and
-  shadow executions.
+  variable uid.  Store order is deterministic, so the draw stream —
+  and hence every run — replays bit-identically across interpreted,
+  reference and shadow executions.
 
 NaN handling: the bias add could carry a NaN's mantissa into the
 exponent field, so NaN payloads are saved and restored around both

@@ -38,11 +38,10 @@ from pathlib import Path
 from typing import Callable
 
 from repro.core.batch import WorkStealingQueue
-from repro.core.checkpoint import RunJournal, job_key, load_run_state
+from repro.core.checkpoint import JournalError, RunJournal, job_key, load_run_state
 from repro.errors import MixPBenchError
 from repro.harness.scheduler import JobResult, SearchJob, run_shard
 from repro.runtime.cache import EvaluationCache
-from repro.runtime.fuse import set_fuse_cache_dir
 from repro.service.queue import ServiceJournal, state_paths
 from repro.service.spec import GridSpec, JobRecord
 
@@ -136,13 +135,8 @@ class Scheduler:
         hooks: SchedulerHooks | None = None,
     ) -> None:
         self.paths = state_paths(state_dir)
-        for name in ("root", "cache", "fuse", "runs", "jobs", "spool"):
+        for name in ("root", "cache", "runs", "jobs", "spool"):
             self.paths[name].mkdir(parents=True, exist_ok=True)
-        # Compiled trace-fusion regions are shared across every shard
-        # and every tenant (keyed by content digest, so collisions are
-        # impossible): one worker's compilation warms all the others,
-        # including across service restarts.
-        set_fuse_cache_dir(self.paths["fuse"])
         self.workers = max(1, int(workers))
         self.quota = max(1, int(quota))
         self.shard_retries = max(0, int(shard_retries))
@@ -387,8 +381,12 @@ class Scheduler:
                 continue  # mid-write; the atomic rename hasn't landed yet
             ack: dict
             try:
+                if not isinstance(payload, dict):
+                    raise MixPBenchError(
+                        f"request must be a JSON object, got {type(payload).__name__}"
+                    )
                 if request.name.endswith(".cancel.json"):
-                    state = self.cancel(payload.get("job_id", ""))
+                    state = self.cancel(str(payload.get("job_id", "")))
                     ack = {"ok": True, "state": state}
                 else:
                     spec = GridSpec.from_json_dict(payload.get("spec", {}))
@@ -407,7 +405,11 @@ class Scheduler:
     # -- internals --------------------------------------------------------
 
     def _recover(self) -> None:
-        """Re-enqueue every non-terminal job from the reopened ledger."""
+        """Re-enqueue every non-terminal job from the reopened ledger.
+
+        A job whose run journal cannot be resumed (written for a
+        different grid fingerprint or journal version) is failed with
+        the reason; the other jobs still recover."""
         for record in self._records.values():
             if record.terminal:
                 continue
@@ -415,7 +417,10 @@ class Scheduler:
                 if record.state == "running":
                     # back to the queue; the run journal replays its trials
                     self._set_state(record, "queued")
-                self._enqueue(record, resume=True)
+                try:
+                    self._enqueue(record, resume=True)
+                except JournalError as error:
+                    self._set_state(record, "failed", error=str(error))
 
     def _enqueue(self, record: JobRecord, resume: bool) -> None:
         shards = record.spec.jobs()
@@ -615,7 +620,7 @@ def _aggregate_stats(active: _ActiveJob) -> dict:
 
 
 def _check_tenant(tenant: str) -> str:
-    tenant = (tenant or "").strip()
+    tenant = (tenant if isinstance(tenant, str) else "").strip()
     if not tenant or not all(c.isalnum() or c in "-_." for c in tenant):
         raise MixPBenchError(
             f"invalid tenant {tenant!r}: use letters, digits, '-', '_', '.'"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -61,9 +62,6 @@ class GridSpec:
     max_retries: int = 0
     prune: bool = False
     shadow: bool = False
-    #: trace-fusion fast path toggle (bit-identical either way; a
-    #: submission with ``fuse=False`` runs its shards interpreted)
-    fuse: bool = True
     #: store-rounding mode for emulated formats ("nearest" or
     #: "stochastic"); only the bit-width bisection strategy consumes it
     rounding: str = "nearest"
@@ -105,7 +103,6 @@ class GridSpec:
             max_retries=self.max_retries,
             prune=self.prune,
             shadow=self.shadow,
-            fuse=self.fuse,
             rounding=self.rounding,
             screen=self.screen,
         )
@@ -138,7 +135,6 @@ class GridSpec:
             "max_retries": self.max_retries,
             "prune": self.prune,
             "shadow": self.shadow,
-            "fuse": self.fuse,
             # Only serialised when set: specs that never touch emulated
             # formats keep their pre-format JSON shape, so their content
             # digests (and therefore job identifiers) are unchanged.
@@ -148,38 +144,92 @@ class GridSpec:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "GridSpec":
+        """Parse a submitted or journaled spec.  Any malformed payload
+        raises :class:`SpecError`, never another exception: the daemon
+        answers it with a rejection instead of dying on it."""
         if not isinstance(payload, Mapping):
             raise SpecError(f"grid spec must be an object, got {type(payload).__name__}")
-        known = {
-            "programs", "algorithms", "thresholds", "max_evaluations",
-            "time_limit_seconds", "executor", "executor_workers",
-            "trial_timeout", "max_retries", "prune", "shadow", "fuse",
-            "rounding", "screen",
-        }
-        unknown = set(payload) - known
+        unknown = set(payload) - _SPEC_FIELDS - _RETIRED_FIELDS
         if unknown:
             raise SpecError(f"unknown grid spec field(s): {sorted(unknown)}")
-        try:
-            return cls(
-                programs=tuple(payload["programs"]),
-                algorithms=tuple(payload["algorithms"]),
-                thresholds=tuple(payload["thresholds"]),
-                max_evaluations=payload.get("max_evaluations"),
-                time_limit_seconds=float(
-                    payload.get("time_limit_seconds", _DEFAULT_TIME_LIMIT)
-                ),
-                executor=payload.get("executor", "serial"),
-                executor_workers=payload.get("executor_workers"),
-                trial_timeout=payload.get("trial_timeout"),
-                max_retries=int(payload.get("max_retries", 0)),
-                prune=bool(payload.get("prune", False)),
-                shadow=bool(payload.get("shadow", False)),
-                fuse=bool(payload.get("fuse", True)),
-                rounding=payload.get("rounding", "nearest"),
-                screen=bool(payload.get("screen", False)),
-            )
-        except KeyError as missing:
-            raise SpecError(f"grid spec is missing {missing.args[0]!r}") from None
+        trial_timeout = payload.get("trial_timeout")
+        return cls(
+            programs=_strings(payload, "programs"),
+            algorithms=_strings(payload, "algorithms"),
+            thresholds=tuple(
+                _number("thresholds", value)
+                for value in _sequence(payload, "thresholds")
+            ),
+            max_evaluations=_optional_int(payload, "max_evaluations"),
+            time_limit_seconds=_number(
+                "time_limit_seconds",
+                payload.get("time_limit_seconds", _DEFAULT_TIME_LIMIT),
+                allow_inf=True,
+            ),
+            executor=payload.get("executor", "serial"),
+            executor_workers=_optional_int(payload, "executor_workers"),
+            trial_timeout=(
+                None if trial_timeout is None
+                else _number("trial_timeout", trial_timeout)
+            ),
+            max_retries=_optional_int(payload, "max_retries") or 0,
+            prune=_flag(payload, "prune"),
+            shadow=_flag(payload, "shadow"),
+            rounding=payload.get("rounding", "nearest"),
+            screen=_flag(payload, "screen"),
+        )
+
+
+_SPEC_FIELDS = {
+    "programs", "algorithms", "thresholds", "max_evaluations",
+    "time_limit_seconds", "executor", "executor_workers",
+    "trial_timeout", "max_retries", "prune", "shadow", "rounding", "screen",
+}
+#: fields earlier releases wrote, accepted (with any value) and ignored
+#: so ledgers and spool files written by those releases still load
+_RETIRED_FIELDS = {"fuse"}
+
+
+def _sequence(payload: Mapping, name: str) -> list:
+    if name not in payload:
+        raise SpecError(f"grid spec is missing {name!r}")
+    value = payload[name]
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"grid spec field {name!r} must be a list")
+    return list(value)
+
+
+def _strings(payload: Mapping, name: str) -> tuple[str, ...]:
+    values = _sequence(payload, name)
+    if not all(isinstance(value, str) for value in values):
+        raise SpecError(f"grid spec field {name!r} must list strings")
+    return tuple(values)
+
+
+def _number(name: str, value, allow_inf: bool = False) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"grid spec field {name!r} must hold numbers, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer too large for a float
+        number = math.inf
+    if math.isnan(number) or (math.isinf(number) and not allow_inf):
+        raise SpecError(f"grid spec field {name!r} must be finite, got {value!r}")
+    return number
+
+
+def _optional_int(payload: Mapping, name: str) -> int | None:
+    value = payload.get(name)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+        raise SpecError(f"grid spec field {name!r} must be an integer, got {value!r}")
+    return value
+
+
+def _flag(payload: Mapping, name: str) -> bool:
+    value = payload.get(name, False)
+    if not isinstance(value, bool):
+        raise SpecError(f"grid spec field {name!r} must be a boolean, got {value!r}")
+    return value
 
 
 @dataclass

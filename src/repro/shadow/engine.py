@@ -40,7 +40,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.types import CustomFormat, parse_precision
-from repro.runtime import fuse as _fuse
 from repro.runtime import mparray as _mparray
 from repro.runtime.memory import Workspace
 from repro.runtime.mparray import (
@@ -396,21 +395,6 @@ class ShadowArray(MPArray):
     # -- ufunc dispatch ----------------------------------------------------
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         ctx = self._ctx
-        # Trace-fusion hook: a matched region computes the reference
-        # and every shadow replica in one generated pass and hands back
-        # the finished wrapper (stats routed through ctx.observe, so
-        # attribution is bit-identical).  ``out=`` and ``ufunc.at``
-        # mutate traced buffers and end any active region instead.
-        tracer = self._profile.fuse
-        traceable = False
-        if tracer is not None:
-            if kwargs or method == "at":
-                tracer.foreign()
-            elif method == "__call__" and len(inputs) <= 2:
-                fused = tracer.offer(ufunc, inputs)
-                if fused is not None:
-                    return fused
-                traceable = True
         out = kwargs.get("out")
         raw_out = None
         if out is not None:
@@ -438,11 +422,8 @@ class ShadowArray(MPArray):
                 except Exception:
                     s = None
                 shadows.append(s)
-        wrapped = self._finish(ufunc, method, inputs, result, taint, in_divs,
-                               shadows, out, raw_out)
-        if traceable:
-            tracer.note(ufunc, inputs, result, wrapped)
-        return wrapped
+        return self._finish(ufunc, method, inputs, result, taint, in_divs,
+                            shadows, out, raw_out)
 
     def _finish(self, ufunc, method, inputs, result, taint, in_divs, shadows,
                 out=None, raw_out=None):
@@ -520,11 +501,6 @@ class ShadowArray(MPArray):
     # -- non-ufunc NumPy functions -----------------------------------------
     def __array_function__(self, func, types, args, kwargs):
         ctx = self._ctx
-        tracer = self._profile.fuse
-        if tracer is not None and (
-            func in _mparray._MUTATING_FUNCTIONS or "out" in kwargs
-        ):
-            tracer.foreign()
         raw_args = _unwrap_tree(args)
         raw_kwargs = _unwrap_tree(kwargs) if kwargs else kwargs
         result = func(*raw_args, **raw_kwargs)
@@ -655,16 +631,6 @@ class ShadowWorkspace(Workspace):
     def __init__(self, *args, shadow_context: ShadowContext, **kwargs):
         super().__init__(*args, **kwargs)
         self.shadow = shadow_context
-        # Replace the base class's plain-mode tracer: shadow regions
-        # update the reference and every replica in one generated pass.
-        # Emulated-width replicas run interpreted instead — the traced
-        # kernels don't apply per-op mantissa rounding, and divergence
-        # scores must come from the same arithmetic the real emulated
-        # run would use.
-        if shadow_context.has_custom:
-            self.profile.fuse = None
-        else:
-            self.profile.fuse = _fuse.shadow_tracer(self.profile, shadow_context)
 
     def _declare(self, uid, data, shadows, taint, carried_divs, known_divs=None):
         ctx = self.shadow
@@ -674,9 +640,6 @@ class ShadowWorkspace(Workspace):
             # so aliased already-rounded buffers (param, same-dtype
             # scalar views) pass through unchanged.
             shadows = tuple(ctx.quantize(s, k) for k, s in enumerate(shadows))
-        tracer = self.profile.fuse
-        if tracer is not None:
-            tracer.foreign()
         divs = ctx.declare(uid, data, shadows, carried_divs, known_divs)
         # Exact by construction: either just measured on these buffers,
         # or known_divs carried an equally exact measurement over.

@@ -273,9 +273,7 @@ def run_shadow_analysis(
     ``replicas`` appends extra shadow precisions — typically emulated
     formats such as ``e8m10`` (see docs/precision-formats.md) — to the
     default set, letting one run attribute error at custom mantissa
-    widths alongside fp32.  Emulated replicas disable the shadow
-    fast-path tracer for the run (their per-op rounding has no fused
-    kernel), so expect interpreted-speed execution.
+    widths alongside fp32.
     """
     if precisions is None:
         precisions = ("single", "half") if include_half else DEFAULT_PRECISIONS

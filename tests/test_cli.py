@@ -17,6 +17,16 @@ class TestParser:
         assert args.algorithm == "DD"
         assert args.threshold is None
 
+    @pytest.mark.parametrize("command", [
+        ["search", "tridiag"], ["run", "configs/kmeans.yaml"],
+        ["grid", "--programs", "eos", "--algorithms", "DD", "--thresholds", "1e-8"],
+        ["sensitivity", "eos"], ["submit", "--programs", "eos", "--algorithms", "DD", "--thresholds", "1e-8"],
+    ])
+    def test_removed_no_fuse_flag_rejected(self, command, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--no-fuse"])
+        assert "unrecognized arguments: --no-fuse" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):

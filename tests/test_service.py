@@ -7,7 +7,9 @@ from __future__ import annotations
 import json
 import threading
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.core.checkpoint import JournalError, RunJournal, job_key
 from repro.errors import MixPBenchError
@@ -19,10 +21,56 @@ from repro.service import (
     service_status, state_paths, submit_request,
 )
 
+#: any JSON value, nested a little
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+#: a well-typed value for every spec field
+_SPEC_FIELDS = {
+    "programs": st.lists(st.sampled_from(("tridiag", "eos")), min_size=1, max_size=2),
+    "algorithms": st.lists(st.sampled_from(("DD", "GA")), min_size=1, max_size=2),
+    "thresholds": st.lists(
+        st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=2,
+    ),
+    "max_evaluations": st.none() | st.integers(),
+    "time_limit_seconds": st.floats(allow_nan=False),
+    "executor": st.sampled_from(("serial", "thread", "process")),
+    "executor_workers": st.none() | st.integers(),
+    "trial_timeout": st.none() | st.floats(allow_nan=False, allow_infinity=False),
+    "max_retries": st.integers(),
+    "prune": st.booleans(),
+    "shadow": st.booleans(),
+    "rounding": st.sampled_from(("nearest", "stochastic")),
+    "screen": st.booleans(),
+    "fuse": st.booleans(),
+}
+
+
+@st.composite
+def spec_payloads(draw):
+    """Well-typed spec objects, some with one field replaced by an
+    arbitrary JSON value."""
+    required = ("programs", "algorithms", "thresholds")
+    payload = draw(st.fixed_dictionaries(
+        {name: _SPEC_FIELDS[name] for name in required},
+        optional={n: v for n, v in _SPEC_FIELDS.items() if n not in required},
+    ))
+    if draw(st.booleans()):
+        payload[draw(st.sampled_from(sorted(_SPEC_FIELDS)))] = draw(_JSON)
+    return payload
+
+
 SMALL = dict(
     programs=("tridiag",), algorithms=("DD",), thresholds=(1e-8,),
     max_evaluations=4,
 )
+SMALL_JSON = {
+    "programs": ["tridiag"], "algorithms": ["DD"], "thresholds": [1e-8],
+    "max_evaluations": 4,
+}
 
 
 def small_spec(**overrides) -> GridSpec:
@@ -80,17 +128,49 @@ class TestGridSpec:
         assert spec.shards == 4
         assert spec.label() == "a,b x DD,GA @ 1e-08"
 
-    def test_fuse_round_trip_and_shard_propagation(self):
-        spec = small_spec(fuse=False)
-        clone = GridSpec.from_json_dict(spec.to_json_dict())
-        assert clone == spec
-        assert all(job.fuse is False for job in clone.jobs())
-        assert all(job.fuse is True for job in small_spec().jobs())
+    def test_legacy_fuse_key_is_accepted_and_dropped(self):
+        """Ledgers and spool files written while specs carried a
+        ``fuse`` toggle still load, whatever its value."""
+        spec = small_spec()
+        assert "fuse" not in spec.to_json_dict()
+        for value in (True, False):
+            payload = {**spec.to_json_dict(), "fuse": value}
+            clone = GridSpec.from_json_dict(payload)
+            assert clone == spec
+            assert clone.digest() == spec.digest()
 
-    def test_fuse_defaults_true_for_legacy_payloads(self):
-        payload = small_spec().to_json_dict()
-        del payload["fuse"]  # a spec journaled before the field existed
-        assert GridSpec.from_json_dict(payload).fuse is True
+    @pytest.mark.parametrize("field,value", [
+        ("thresholds", ["abc"]),
+        ("thresholds", [float("nan")]),
+        ("thresholds", [float("inf")]),
+        ("programs", 5),
+        ("programs", "tridiag"),
+        ("algorithms", [None]),
+        ("max_retries", "x"),
+        ("max_evaluations", "x"),
+        ("max_evaluations", 2.5),
+        ("executor_workers", "2"),
+        ("time_limit_seconds", "soon"),
+        ("trial_timeout", [1]),
+        ("prune", "yes"),
+    ])
+    def test_malformed_field_raises_spec_error(self, field, value):
+        payload = {**small_spec().to_json_dict(), field: value}
+        with pytest.raises(SpecError, match=field):
+            GridSpec.from_json_dict(payload)
+
+    @given(st.dictionaries(st.text(max_size=20), _JSON, max_size=8) | spec_payloads())
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_object_parses_or_raises_spec_error(self, payload):
+        try:
+            spec = GridSpec.from_json_dict(payload)
+        except SpecError:
+            return
+        # an accepted spec is usable end to end by the service
+        assert spec.shards >= 1
+        spec.digest()
+        spec.label()
+        assert GridSpec.from_json_dict(spec.to_json_dict()) == spec
 
     def test_job_record_round_trip(self):
         record = JobRecord(
@@ -324,6 +404,35 @@ class TestScheduler:
         served = json.loads(results_path(root, record.job_id).read_text())
         assert stripped(served) == stripped(direct)
 
+    def test_recovery_fails_a_job_whose_journal_cannot_resume(self, tmp_path):
+        """A queued job whose run journal was written for a different
+        grid fingerprint (an older release, say) is failed with the
+        journal's reason; the scheduler still starts and recovers the
+        other jobs."""
+        root = tmp_path / "svc"
+        paths = state_paths(root)
+        paths["runs"].mkdir(parents=True, exist_ok=True)
+        stale = JobRecord(job_id="job-0001-deadbeef", tenant="alice", spec=small_spec())
+        other = JobRecord(job_id="job-0002-cafef00d", tenant="alice",
+                          spec=small_spec(max_evaluations=5))
+        with ServiceJournal(root) as journal:
+            journal.append_submit(stale, 1)
+            journal.append_submit(other, 2)
+        # the stale job's journal fingerprints a different shard list
+        mismatched = small_spec(max_evaluations=3).jobs()
+        RunJournal(paths["runs"], stale.job_id, mismatched).close()
+
+        scheduler = Scheduler(root, workers=1)
+        try:
+            job = scheduler.status(stale.job_id)["job"]
+            assert job["state"] == "failed"
+            assert "refusing to resume" in job["error"]
+            assert scheduler.status(other.job_id)["job"]["state"] == "queued"
+        finally:
+            scheduler.stop(drain=False)
+        reopened = load_service_state(paths["journal"]).jobs[stale.job_id]
+        assert reopened.state == "failed"
+
     def test_recovery_finalizes_fully_journaled_job_without_workers(
         self, data_env
     ):
@@ -378,6 +487,34 @@ class TestSpoolAndClient:
         scheduler.stop(drain=False)
         assert not ack["ok"]
         assert "program" in ack["error"]
+
+    @pytest.mark.parametrize("name,body", [
+        ("req-1.json", [1, 2]),
+        ("req-1.json", {"tenant": "alice", "spec": {**SMALL_JSON, "thresholds": ["abc"]}}),
+        ("req-1.json", {"tenant": "alice", "spec": {**SMALL_JSON, "programs": 5}}),
+        ("req-1.json", {"tenant": "alice", "spec": {**SMALL_JSON, "max_retries": "x"}}),
+        ("req-1.json", {"tenant": ["alice"], "spec": SMALL_JSON}),
+        ("req-1.cancel.json", "job-0001"),
+        ("req-1.cancel.json", {"job_id": ["job-0001"]}),
+    ])
+    def test_poison_request_is_rejected_and_removed(self, tmp_path, name, body):
+        """A malformed request gets an ``ok: false`` ack and is deleted,
+        and the spool keeps serving: a valid submit after it is taken."""
+        scheduler = Scheduler(tmp_path / "svc")
+        spool = scheduler.paths["spool"]
+        (spool / name).write_text(json.dumps(body))
+        (spool / "req-2.json").write_text(
+            json.dumps({"tenant": "alice", "spec": SMALL_JSON}))
+        try:
+            assert scheduler.poll_spool() == 2
+        finally:
+            scheduler.stop(drain=False)
+        poison = json.loads((spool / name.replace(".json", ".ack.json")).read_text())
+        assert poison["ok"] is False and poison["error"]
+        assert not (spool / name).exists()
+        valid = json.loads((spool / "req-2.ack.json").read_text())
+        assert valid["ok"]
+        assert scheduler.status(valid["job_id"])["job"]["tenant"] == "alice"
 
     def test_spool_cancel_request(self, tmp_path):
         scheduler = Scheduler(tmp_path / "svc")
