@@ -124,15 +124,38 @@ class Benchmark(ABC):
 
     def _shared_state(self) -> dict:
         """Per-process cache slot for this fingerprint (inputs, report,
-        RNG replay stream) shared across benchmark instances."""
+        shadow sensitivity report, RNG replay stream) shared across
+        benchmark instances."""
         state = self._state
         if state is None:
             key = self.inputs_fingerprint()
-            state = _PROCESS_STATE.get(key)
-            if state is None:
-                state = _PROCESS_STATE[key] = {"rng": RNGReplayCache()}
+            with _PROCESS_STATE_LOCK:
+                state = _PROCESS_STATE.get(key)
+                if state is None:
+                    state = _PROCESS_STATE[key] = {
+                        "rng": RNGReplayCache(),
+                        "lock": threading.RLock(),
+                    }
             self._state = state
         return state
+
+    def _shared(self, name: str, compute: Callable[[], Any]) -> Any:
+        """Entry ``name`` of the fingerprint slot, computed at most once.
+
+        Concurrent first callers (service worker threads reaching a new
+        fingerprint together) serialise on the slot's lock, so
+        ``compute`` runs once — :meth:`setup` may write input files.
+        The lock is re-entrant because filling one entry can fill
+        another: the shadow run reads :meth:`report` and :meth:`inputs`.
+        """
+        state = self._shared_state()
+        value = state.get(name)
+        if value is None:
+            with state["lock"]:
+                value = state.get(name)
+                if value is None:
+                    value = state[name] = compute()
+        return value
 
     # -- to implement -------------------------------------------------------
     @abstractmethod
@@ -157,13 +180,9 @@ class Benchmark(ABC):
         """Typeforge analysis of this benchmark (cached per process —
         the analysis is a pure function of the benchmark's modules)."""
         if self._report is None:
-            state = self._shared_state()
-            report = state.get("report")
-            if report is None:
-                report = state["report"] = analyze(
-                    self.modules(), entry=self.entry, program=self.name
-                )
-            self._report = report
+            self._report = self._shared(
+                "report", lambda: analyze(self.modules(), entry=self.entry, program=self.name)
+            )
         return self._report
 
     def search_space(self, granularity: Granularity = Granularity.CLUSTER) -> SearchSpace:
@@ -179,11 +198,7 @@ class Benchmark(ABC):
         instead of re-rolling RNG state and rewriting input files.
         """
         if self._inputs is None:
-            state = self._shared_state()
-            inputs = state.get("inputs")
-            if inputs is None:
-                inputs = state["inputs"] = self.setup()
-            self._inputs = inputs
+            self._inputs = self._shared("inputs", self.setup)
         return self._inputs
 
     def data_dir(self) -> Path:
@@ -261,9 +276,24 @@ class ApplicationBenchmark(Benchmark):
 
 
 #: per-process shared state: inputs fingerprint -> {"inputs", "report",
-#: "rng"}.  See :meth:`Benchmark.inputs_fingerprint` for the
-#: invalidation rule.
+#: "shadow", "rng", "lock"}.  See :meth:`Benchmark.inputs_fingerprint`
+#: for the invalidation rule.
 _PROCESS_STATE: dict[tuple, dict] = {}
+_PROCESS_STATE_LOCK = threading.Lock()
+
+
+def _reset_state_locks() -> None:
+    """Fresh locks in a forked child: a slot lock held by another
+    thread of the parent (mid-``setup()`` or mid-shadow run) would
+    otherwise stay held forever in a process-pool worker."""
+    global _PROCESS_STATE_LOCK
+    _PROCESS_STATE_LOCK = threading.Lock()
+    for state in _PROCESS_STATE.values():
+        state["lock"] = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_state_locks)
 
 
 def clear_process_caches() -> None:

@@ -207,17 +207,18 @@ def run_shard(
         location_order = None
         shadow_info = None
         if job.shadow:
-            # The shadow run is a pure in-process function of the
-            # benchmark: recomputing it in each worker is deterministic
-            # and identical across serial/thread/process execution.
+            # The shadow report is a pure function of the benchmark's
+            # inputs fingerprint, computed once per worker process and
+            # shared by every later shard (and by --screen below), so
+            # it is identical across serial/thread/process execution.
             from repro.shadow import shadow_guidance
 
             location_order, shadow_info = shadow_guidance(bench)
         certificate = None
         screen_info = None
         if job.screen:
-            # Like the shadow run, certification is a deterministic
-            # in-process function of the benchmark.
+            # Certification calibrates against that same shared
+            # shadow report; it adds no shadow run of its own.
             from repro.typeforge.errorbound import certify_benchmark
 
             _, certificate = certify_benchmark(bench)

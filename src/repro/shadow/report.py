@@ -29,7 +29,7 @@ from repro.verify.metrics import _relative_divergence_core
 
 __all__ = [
     "VariableSensitivity", "SensitivityReport", "run_shadow_analysis",
-    "shadow_guidance",
+    "shadow_guidance", "shared_sensitivity",
 ]
 
 #: default shadow precisions: fp32 always; fp16 is opt-in (it
@@ -250,11 +250,29 @@ class SensitivityReport:
         return format_table(headers, rows, title)
 
 
+def shared_sensitivity(benchmark: Benchmark) -> SensitivityReport:
+    """The default-argument shadow report for ``benchmark``, computed
+    once per inputs fingerprint per process.
+
+    The report is a pure function of that fingerprint, so ``--order
+    shadow`` guidance and the ``--screen`` certificate share one shadow
+    run, and later searches, grid shards and tenants on the same
+    program reuse it.  It lives in the benchmark's shared state slot
+    beside its inputs and Typeforge report, and
+    :func:`~repro.benchmarks.base.clear_process_caches` drops it.
+    :func:`run_shadow_analysis` itself stays uncached.
+    """
+    # looked up at call time, so a wrapper installed on the module
+    # attribute (call counting, tracing) sees every real run
+    return benchmark._shared("shadow", lambda: run_shadow_analysis(benchmark))
+
+
 def shadow_guidance(benchmark: Benchmark) -> tuple[ShadowOrder, dict]:
-    """One shadow run distilled into evaluator guidance: the
+    """The process's shadow report for ``benchmark`` (see
+    :func:`shared_sensitivity`) distilled into evaluator guidance: the
     ``(location_order, shadow_info)`` pair CLI/harness/scheduler hand
     to :class:`~repro.core.evaluator.ConfigurationEvaluator`."""
-    report = run_shadow_analysis(benchmark)
+    report = shared_sensitivity(benchmark)
     return report.ordering(), report.summary()
 
 

@@ -525,11 +525,13 @@ def certify_benchmark(
     """Static model + calibrated certificate for one benchmark.
 
     This is the ``(model, certificate)`` pair behind ``mixpbench
-    certify`` and the ``--screen`` search flag; the shadow run it
-    calibrates against is the same deterministic analysis ``--order
-    shadow`` uses.
+    certify`` and the ``--screen`` search flag.  It calibrates against
+    the process's shared shadow report
+    (:func:`repro.shadow.report.shared_sensitivity`), the same one
+    ``--order shadow`` reads, so the two together cost one shadow run
+    per program per process.
     """
-    from repro.shadow.report import run_shadow_analysis
+    from repro.shadow.report import shared_sensitivity
 
     report = benchmark.report()
     model = analyze_error_bounds(
@@ -538,6 +540,6 @@ def certify_benchmark(
         dependence=report.dependence,
         trip_count=trip_count,
     )
-    sensitivity = run_shadow_analysis(benchmark)
+    sensitivity = shared_sensitivity(benchmark)
     certificate = calibrate_bound(model, sensitivity, safety=safety)
     return model, certificate

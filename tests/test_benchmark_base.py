@@ -1,5 +1,9 @@
 """Tests for the benchmark framework itself (registry, base class)."""
 
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -105,8 +109,44 @@ class TestBenchmarkMechanics:
     def test_repr(self):
         assert "hydro-1d" in repr(get_benchmark("hydro-1d"))
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_does_not_inherit_a_held_slot_lock(self, data_env):
+        # a process-pool worker forked while another thread fills the
+        # slot (setup, shadow run) must not block on the parent's lock
+        state = get_benchmark("eos")._shared_state()
+        held, release = threading.Event(), threading.Event()
+
+        def holder():
+            with state["lock"]:
+                held.set()
+                release.wait(60)
+
+        thread = threading.Thread(target=holder)
+        thread.start()
+        try:
+            assert held.wait(10)
+            child = multiprocessing.get_context("fork").Process(
+                target=_fill_inputs, args=("eos",)
+            )
+            child.start()
+            child.join(timeout=30)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join(timeout=10)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert not hung
+        assert child.exitcode == 0
+
     def test_execute_with_custom_inputs(self):
         from repro.core.types import PrecisionConfig
         bench = get_benchmark("hydro-1d")
         small = bench.execute(PrecisionConfig(), inputs={"n": 1_000, "steps": 1})
         assert small.output.shape[0] == 1_002
+
+
+def _fill_inputs(name: str) -> None:
+    get_benchmark(name).inputs()

@@ -13,19 +13,25 @@ The contracts under test, in the order the pipeline uses them:
 * the predict-and-verify recommendation is always backed by a real
   evaluation through the standard ``ConfigurationEvaluator``;
 * shadow and prune provenance compose in ``SearchOutcome.metadata``;
+* ``--order shadow`` and ``--screen`` share one shadow run per inputs
+  fingerprint per process, filled once even under concurrent callers,
+  while :func:`run_shadow_analysis` itself stays uncached;
 * no benchmark emits runtime warnings under fp16 shadow execution.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from repro.benchmarks.base import (
-    available_benchmarks, collect_output, get_benchmark,
+    available_benchmarks, clear_process_caches, collect_output, get_benchmark,
 )
 from repro.core.batch import make_executor
 from repro.core.evaluator import ConfigurationEvaluator
@@ -36,6 +42,8 @@ from repro.shadow import (
     ShadowWorkspace, recommend_and_verify, run_shadow_analysis,
     shadow_guidance,
 )
+from repro.shadow import report as report_module
+from repro.typeforge.errorbound import calibrate_bound, certify_benchmark
 
 
 def _shadow_reference_output(bench, precisions=("single",)) -> np.ndarray:
@@ -243,6 +251,116 @@ class TestMetadataComposition:
         )
         assert outcome.metadata["shadow"]["ops"] > 0
         json.dumps(outcome.to_json_dict())  # the composition stays serializable
+
+
+@pytest.fixture()
+def shadow_runs(monkeypatch):
+    """Count real shadow runs made through the module-level
+    ``run_shadow_analysis`` (the name the shared report resolves)."""
+    runs = []
+    real = report_module.run_shadow_analysis
+
+    def counting(benchmark, *args, **kwargs):
+        runs.append(benchmark.name)
+        return real(benchmark, *args, **kwargs)
+
+    monkeypatch.setattr(report_module, "run_shadow_analysis", counting)
+    return runs
+
+
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
+class TestSharedReport:
+    def test_order_and_screen_share_one_run(self, shadow_runs, data_env):
+        bench = get_benchmark("eos")
+        shadow_guidance(bench)
+        certify_benchmark(bench)
+        assert shadow_runs == ["eos"]
+        # a second instance shares the fingerprint slot
+        shadow_guidance(get_benchmark("eos"))
+        certify_benchmark(get_benchmark("eos"))
+        assert shadow_runs == ["eos"]
+
+    def test_clear_process_caches_forces_fresh_run(self, shadow_runs, data_env):
+        shadow_guidance(get_benchmark("eos"))
+        clear_process_caches()
+        shadow_guidance(get_benchmark("eos"))
+        assert shadow_runs == ["eos", "eos"]
+
+    def test_data_root_is_part_of_the_key(self, shadow_runs, data_env, monkeypatch):
+        shadow_guidance(get_benchmark("eos"))
+        monkeypatch.setenv("MIXPBENCH_DATA", str(data_env / "other"))
+        shadow_guidance(get_benchmark("eos"))
+        assert shadow_runs == ["eos", "eos"]
+
+    def test_memo_hit_matches_fresh_uncached_run(self, data_env):
+        bench = get_benchmark("hpccg")
+        shadow_guidance(bench)  # fill the memo
+        order, summary = shadow_guidance(bench)
+        model, certificate = certify_benchmark(bench)
+        fresh = run_shadow_analysis(get_benchmark("hpccg"))
+        fresh_order = fresh.ordering()
+        assert _canonical(order.scores) == _canonical(fresh_order.scores)
+        assert order.predicted_error == fresh_order.predicted_error
+        assert _canonical(summary) == _canonical(fresh.summary())
+        assert _canonical(certificate.info()) == _canonical(calibrate_bound(model, fresh).info())
+
+    def test_run_shadow_analysis_stays_uncached(self, monkeypatch, data_env):
+        # the sensitivity command and the BENCH_shadow.json gate time
+        # real shadow executions
+        workspaces = []
+        real = report_module.ShadowWorkspace
+
+        def counting(*args, **kwargs):
+            workspaces.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(report_module, "ShadowWorkspace", counting)
+        bench = get_benchmark("eos")
+        shadow_guidance(bench)
+        run_shadow_analysis(bench)
+        run_shadow_analysis(bench)
+        assert len(workspaces) == 3
+
+    def test_concurrent_first_callers_fill_the_slot_once(self, shadow_runs, monkeypatch, data_env):
+        bench_cls = type(get_benchmark("eos"))
+        real_setup = bench_cls.setup
+        setups = []
+
+        def slow_setup(self):
+            setups.append(1)
+            time.sleep(0.05)  # widen the check-then-set window
+            return real_setup(self)
+
+        monkeypatch.setattr(bench_cls, "setup", slow_setup)
+        clear_process_caches()
+        results = [None] * 4
+        errors = []
+
+        def worker(i):
+            try:
+                order, summary = shadow_guidance(get_benchmark("eos"))
+                results[i] = (_canonical(order.scores), _canonical(summary))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(setups) == 1
+        assert shadow_runs == ["eos"]
+        assert len(set(results)) == 1 and results[0] is not None
 
 
 class TestShadowOrder:
