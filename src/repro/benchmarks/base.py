@@ -32,6 +32,7 @@ from repro.errors import BenchmarkNotFound
 from repro.runtime.machine import DEFAULT_MACHINE, MachineModel
 from repro.runtime.memory import Workspace
 from repro.runtime.mparray import unwrap
+from repro.runtime.profiler import Profile
 from repro.runtime.rngcache import RNGReplayCache
 from repro.typeforge import TypeforgeReport, analyze
 from repro.verify.quality import QualitySpec
@@ -124,8 +125,8 @@ class Benchmark(ABC):
 
     def _shared_state(self) -> dict:
         """Per-process cache slot for this fingerprint (inputs, report,
-        shadow sensitivity report, RNG replay stream) shared across
-        benchmark instances."""
+        shadow sensitivity report, all-double baseline, RNG replay
+        stream) shared across benchmark instances."""
         state = self._state
         if state is None:
             key = self.inputs_fingerprint()
@@ -241,6 +242,33 @@ class Benchmark(ABC):
             modeled_seconds=self.machine.time(ws.profile),
         )
 
+    def baseline(self) -> ExecutionResult:
+        """The all-double reference execution, run once per process.
+
+        Its output is what every evaluator, the harness's final
+        re-verification and the Table IV style experiments verify
+        against.  Like :meth:`inputs` it is a pure function of the
+        inputs fingerprint, so instances share one execution; the
+        shared output is read-only.  The fingerprint does not include
+        the machine, so the stored profile is priced on
+        :attr:`machine` on every call.
+        """
+        output, profile = self._shared("baseline", self._run_baseline)
+        return ExecutionResult(
+            output=output,
+            profile=profile,
+            modeled_seconds=self.machine.time(profile),
+        )
+
+    def _run_baseline(self) -> tuple[np.ndarray, Profile]:
+        result = self.execute(PrecisionConfig())
+        # Keep a copy made after the run's temporaries are freed:
+        # holding the run's own output array raised peak RSS (about
+        # 2.5% on the service-replay benchmark), the copy did not.
+        output = result.output.copy()
+        output.flags.writeable = False
+        return output, result.profile
+
     def manual_inputs(self, precision) -> dict[str, Any]:
         """Inputs for the paper's Table IV *manual* whole-program
         conversion.  A human rewriting the source also converts what no
@@ -276,8 +304,8 @@ class ApplicationBenchmark(Benchmark):
 
 
 #: per-process shared state: inputs fingerprint -> {"inputs", "report",
-#: "shadow", "rng", "lock"}.  See :meth:`Benchmark.inputs_fingerprint`
-#: for the invalidation rule.
+#: "shadow", "baseline", "rng", "lock"}.  See
+#: :meth:`Benchmark.inputs_fingerprint` for the invalidation rule.
 _PROCESS_STATE: dict[tuple, dict] = {}
 _PROCESS_STATE_LOCK = threading.Lock()
 

@@ -324,12 +324,12 @@ class JournalTrialStore:
     """Evaluation-cache adapter backed by a run journal.
 
     Speaks the :class:`~repro.runtime.cache.EvaluationCache` protocol
-    the evaluator already understands (``get``/``put``), so journaled
-    trials replay through the exact code path persistent-cache hits do
-    — same simulated cost, same EV increment, bit-identical trial
-    records.  Fresh evaluations are journaled before being forwarded
-    to the optional inner cache; replays consult the journal first,
-    then the inner cache.
+    the evaluator already understands (``get``/``contains``/``put``),
+    so journaled trials replay through the exact code path
+    persistent-cache hits do — same simulated cost, same EV increment,
+    bit-identical trial records.  Fresh evaluations are journaled
+    before being forwarded to the optional inner cache; replays
+    consult the journal first, then the inner cache.
     """
 
     def __init__(
@@ -351,6 +351,12 @@ class JournalTrialStore:
         if self._inner is not None:
             return self._inner.get(program, context, config_digest)
         return None
+
+    def contains(self, program: str, context: str, config_digest: str) -> bool:
+        entry = self._replay.get(config_digest)
+        if entry is not None and entry.get("context") == context:
+            return True
+        return self._inner is not None and self._inner.contains(program, context, config_digest)
 
     def put(
         self, program: str, context: str, config_digest: str, record: Mapping

@@ -237,15 +237,22 @@ class ConfigurationEvaluator:
         # output is the verification reference; its measured time is
         # the speedup denominator.  FloatSmith profiles the original
         # before searching, so we charge its cost to the clock but not
-        # to the EV counter.
+        # to the EV counter.  Under the modeled clock, programs with a
+        # ``baseline()`` serve it from their per-process memo (shared,
+        # read-only output); a wall-clock baseline must be measured.
         baseline_config = PrecisionConfig()
-        baseline, baseline_seconds = self._timed_execute(baseline_config)
+        if self.timing is TimingMode.MODELED and hasattr(program, "baseline"):
+            baseline = program.baseline()
+            baseline_seconds = baseline.modeled_seconds
+            self._baseline_output = baseline.output
+        else:
+            baseline, baseline_seconds = self._timed_execute(baseline_config)
+            self._baseline_output = np.asarray(baseline.output, dtype=np.float64).copy()
         if baseline.has_nonfinite_output:
             raise MixPBenchError(
                 f"{program.name}: baseline (double) output is not finite; "
                 "the reference program itself is broken"
             )
-        self._baseline_output = np.asarray(baseline.output, dtype=np.float64).copy()
         self._time_scale = (
             program.nominal_seconds / baseline_seconds
             if baseline_seconds > 0
@@ -395,9 +402,9 @@ class ConfigurationEvaluator:
                 continue  # evaluate() will screen it; nothing to stage
             if not self._cluster_space.is_compilable(config):
                 continue  # rejected before running; nothing to stage
-            if self.cache is not None and self.cache.get(
+            if self.cache is not None and self.cache.contains(
                 self.program.name, self._cache_context, config.digest()
-            ) is not None:
+            ):
                 continue  # will replay from the persistent cache
             pending.append(config)
         self.stats.batches += 1

@@ -56,6 +56,12 @@ class Program(Protocol):
         onto the simulated 24-hour analysis clock.
     compile_seconds:
         Simulated build time charged per evaluated configuration.
+
+    A program may also provide ``baseline() -> ExecutionResult``: the
+    all-double execution, memoised and with a read-only output (see
+    :meth:`repro.benchmarks.base.Benchmark.baseline`).  Under the
+    modeled clock the evaluator takes its reference from it instead of
+    executing ``PrecisionConfig()`` itself.
     """
 
     name: str

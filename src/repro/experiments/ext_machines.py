@@ -19,7 +19,7 @@ caveat, quantified.
 from __future__ import annotations
 
 from repro.benchmarks.base import application_benchmarks, get_benchmark
-from repro.core.types import Precision, PrecisionConfig
+from repro.core.types import Precision
 from repro.harness.reporting import format_table, write_csv
 from repro.runtime.machine import MACHINE_PRESETS
 
@@ -34,7 +34,7 @@ def rows() -> list[list[str]]:
         row = [program]
         for machine in MACHINE_PRESETS.values():
             bench = get_benchmark(program, machine=machine)
-            baseline = bench.execute(PrecisionConfig())
+            baseline = bench.baseline()
             single = bench.execute_manual(Precision.SINGLE)
             row.append(f"{baseline.modeled_seconds / single.modeled_seconds:.2f}")
         out.append(row)

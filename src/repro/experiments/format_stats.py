@@ -49,7 +49,7 @@ def _footprint(bench, config) -> int:
 
 
 def _verified_error(bench, config) -> float:
-    baseline = bench.execute(PrecisionConfig())
+    baseline = bench.baseline()
     tuned = bench.execute(config)
     return bench.quality.measure(baseline.output, tuned.output)
 

@@ -26,7 +26,7 @@ def rows() -> list[list[str]]:
     out = []
     for name in application_benchmarks():
         bench = get_benchmark(name)
-        baseline = bench.execute(PrecisionConfig())
+        baseline = bench.baseline()
         single = bench.execute_manual(Precision.SINGLE)
         loss = get_metric(bench.metric)(baseline.output, single.output)
         base_t = measured_seconds(

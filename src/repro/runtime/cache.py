@@ -105,6 +105,12 @@ class EvaluationCache:
             self.hits += 1
         return record
 
+    def contains(self, program: str, context: str, config_digest: str) -> bool:
+        """Whether a record is cached, without counting a hit or miss
+        (a membership probe ahead of the counted :meth:`get`)."""
+        with self._lock:
+            return config_digest in self._table(program, context)
+
     def put(
         self,
         program: str,

@@ -11,6 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))  # expose tests/helpers.py
 
 from helpers import ToyProgram  # noqa: E402
 
+from repro.benchmarks.base import Benchmark, clear_process_caches  # noqa: E402
 from repro.core.evaluator import ConfigurationEvaluator  # noqa: E402
 
 
@@ -30,3 +31,19 @@ def data_env(tmp_path, monkeypatch):
     """Route generated benchmark input files into the test's tmp dir."""
     monkeypatch.setenv("MIXPBENCH_DATA", str(tmp_path / "data"))
     return tmp_path
+
+
+@pytest.fixture()
+def executions(data_env, monkeypatch):
+    """Config digest of every ``Benchmark.execute`` call, starting from
+    cold per-process benchmark state."""
+    clear_process_caches()
+    calls = []
+    original = Benchmark.execute
+
+    def counting(self, config, inputs=None):
+        calls.append(config.digest())
+        return original(self, config, inputs)
+
+    monkeypatch.setattr(Benchmark, "execute", counting)
+    return calls

@@ -11,12 +11,15 @@ from repro.benchmarks.base import (
     Benchmark,
     application_benchmarks,
     available_benchmarks,
+    clear_process_caches,
     collect_output,
     get_benchmark,
     kernel_benchmarks,
     register_benchmark,
 )
+from repro.core.types import PrecisionConfig
 from repro.errors import BenchmarkNotFound
+from repro.runtime.machine import MACHINE_PRESETS
 from repro.runtime.mparray import MPArray
 from repro.runtime.profiler import Profile
 
@@ -146,6 +149,42 @@ class TestBenchmarkMechanics:
         bench = get_benchmark("hydro-1d")
         small = bench.execute(PrecisionConfig(), inputs={"n": 1_000, "steps": 1})
         assert small.output.shape[0] == 1_002
+
+
+class TestBaselineMemo:
+    def test_instances_share_one_execution(self, executions):
+        first = get_benchmark("eos").baseline()
+        second = get_benchmark("eos").baseline()
+        assert len(executions) == 1
+        assert second.output is first.output
+        np.testing.assert_array_equal(
+            first.output, get_benchmark("eos").execute(PrecisionConfig()).output
+        )
+
+    def test_clear_process_caches_forces_a_fresh_run(self, executions):
+        get_benchmark("eos").baseline()
+        clear_process_caches()
+        get_benchmark("eos").baseline()
+        assert len(executions) == 2
+
+    def test_data_root_is_part_of_the_key(self, data_env, executions, monkeypatch):
+        get_benchmark("eos").baseline()
+        monkeypatch.setenv("MIXPBENCH_DATA", str(data_env / "other"))
+        get_benchmark("eos").baseline()
+        assert len(executions) == 2
+
+    def test_output_is_read_only(self, data_env):
+        output = get_benchmark("eos").baseline().output
+        with pytest.raises(ValueError):
+            output[0] = 0.0
+
+    @pytest.mark.parametrize("machine", sorted(MACHINE_PRESETS))
+    def test_priced_on_each_instances_machine(self, data_env, machine):
+        # the memo key has no machine: the shared profile is re-priced
+        get_benchmark("lavamd").baseline()
+        bench = get_benchmark("lavamd", machine=MACHINE_PRESETS[machine])
+        fresh = bench.execute(PrecisionConfig())
+        assert bench.baseline().modeled_seconds == fresh.modeled_seconds
 
 
 def _fill_inputs(name: str) -> None:

@@ -164,6 +164,9 @@ class _RecordingCache:
     def get(self, program, context, digest):
         return self.data.get((program, context, digest))
 
+    def contains(self, program, context, digest):
+        return (program, context, digest) in self.data
+
     def put(self, program, context, digest, record):
         self.puts.append((program, context, digest))
         self.data[(program, context, digest)] = dict(record)
@@ -189,6 +192,18 @@ class TestJournalTrialStore:
             # stale context (changed threshold/metric/...) must not replay
             assert store.get("tridiag", "other", "d1") == {"index": 9}
             assert store.get("tridiag", "ctx", "d2") is None
+
+    def test_contains_probes_journal_then_inner(self, tmp_path):
+        inner = _RecordingCache()
+        inner.data[("tridiag", "other", "d2")] = {"index": 9}
+        with RunJournal(tmp_path, "r", []) as journal:
+            replay = {"d1": {"context": "ctx", "record": {"index": 1}}}
+            store = JournalTrialStore(journal, "0000:a", replay, inner=inner)
+            assert store.contains("tridiag", "ctx", "d1")
+            assert not store.contains("tridiag", "other", "d1")
+            assert store.contains("tridiag", "other", "d2")
+            assert not store.contains("tridiag", "ctx", "d2")
+            assert not JournalTrialStore(journal, "0000:b").contains("tridiag", "ctx", "d1")
 
     def test_get_without_inner_or_replay_is_none(self, tmp_path):
         with RunJournal(tmp_path, "r", []) as journal:

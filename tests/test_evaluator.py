@@ -1,16 +1,21 @@
 """Unit tests for the ConfigurationEvaluator."""
 
+import json
 import math
+import sys
+import threading
 
 import pytest
 
 from helpers import ToyProgram
 
+from repro.benchmarks.base import get_benchmark
 from repro.core.evaluator import ConfigurationEvaluator, measured_seconds
 from repro.core.results import EvaluationStatus
 from repro.core.types import Precision, PrecisionConfig
 from repro.core.variables import Granularity
 from repro.errors import MixPBenchError, SearchBudgetExceeded
+from repro.search import make_strategy
 
 
 def make_evaluator(**kwargs):
@@ -195,3 +200,67 @@ class TestTimingModes:
     def test_cli_exports_timing(self):
         from repro.core import TimingMode
         assert TimingMode.WALL_CLOCK.value == "wall_clock"
+
+
+class TestSharedBaseline:
+    """Under the modeled clock the all-double reference comes from the
+    benchmark's per-process memo, not from one execution per evaluator."""
+
+    def test_evaluators_share_one_baseline_run(self, executions):
+        first, second = get_benchmark("eos"), get_benchmark("eos")
+        evaluators = [
+            ConfigurationEvaluator(first),
+            ConfigurationEvaluator(second),
+            ConfigurationEvaluator(second),
+        ]
+        assert executions == [PrecisionConfig().digest()]
+        assert evaluators[2].baseline_output is evaluators[0].baseline_output
+        assert not evaluators[0].baseline_output.flags.writeable
+
+    def test_wall_clock_measures_its_own_baseline(self, executions):
+        from repro.core.evaluator import TimingMode
+
+        bench = get_benchmark("eos")
+        for _ in range(2):
+            ConfigurationEvaluator(bench, timing=TimingMode.WALL_CLOCK)
+        assert len(executions) == 2
+
+    def test_concurrent_evaluators_run_the_baseline_once(self, executions):
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def build():
+            try:
+                barrier.wait(10)
+                ConfigurationEvaluator(get_benchmark("eos"))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert executions == [PrecisionConfig().digest()]
+
+    @pytest.mark.parametrize("algorithm", ["DD", "GA"])
+    def test_outcome_identical_with_cold_and_warm_memo(self, executions, algorithm):
+        def outcome():
+            evaluator = ConfigurationEvaluator(get_benchmark("hpccg"), max_evaluations=12)
+            payload = make_strategy(algorithm).run(evaluator).to_json_dict()
+            payload["metadata"].pop("eval_stats")
+            return json.dumps(payload, sort_keys=True)
+
+        cold = outcome()
+        runs = len(executions)
+        warm = outcome()
+        assert warm == cold
+        # the warm search re-ran its trials, never the reference
+        assert PrecisionConfig().digest() not in executions[runs:]

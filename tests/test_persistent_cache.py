@@ -136,6 +136,35 @@ class TestCacheStore:
         assert cache.hits == 1
         assert len(cache) == 1
 
+    def test_contains_does_not_count(self, tmp_path):
+        cache = EvaluationCache(tmp_path)
+        assert not cache.contains("p", "ctx", "d1")
+        cache.put("p", "ctx", "d1", {"status": "passed"})
+        assert cache.contains("p", "ctx", "d1")
+        assert not cache.contains("p", "other", "d1")
+        assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_batched_search_counts_each_lookup_once(self, tmp_path, data_env):
+        # prefetch probes membership before evaluate() replays: only
+        # the replay's lookup may count as a hit or a miss
+        from repro.benchmarks.base import get_benchmark
+        from repro.core.batch import make_executor
+
+        def evaluate_two(cache):
+            bench = get_benchmark("eos")
+            evaluator = ConfigurationEvaluator(bench, cache=cache, executor=make_executor("serial"))
+            space = evaluator.space()
+            evaluator.evaluate_many([space.lower(loc) for loc in space.locations()[:2]])
+            return evaluator
+
+        cold = EvaluationCache(tmp_path / "cache")
+        evaluate_two(cold)
+        assert (cold.hits, cold.misses) == (0, 2)
+        warm = EvaluationCache(tmp_path / "cache")
+        evaluator = evaluate_two(warm)
+        assert evaluator.stats.persistent_hits == 2
+        assert (warm.hits, warm.misses) == (2, 0)
+
     def test_survives_reload_from_disk(self, tmp_path):
         EvaluationCache(tmp_path).put("p", "ctx", "d1", {"x": 1})
         fresh = EvaluationCache(tmp_path)
