@@ -61,6 +61,7 @@ All incidents are counted (``timeouts`` / ``retries`` /
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
 import time
 from collections import deque
@@ -254,7 +255,9 @@ class BatchExecutor:
     name = "serial"
 
     def __init__(self, workers: int = 1, policy: FaultPolicy | None = None) -> None:
-        self.workers = max(1, int(workers))
+        if workers < 1:
+            raise ValueError(f"an executor needs at least one worker, got {workers!r}")
+        self.workers = int(workers)
         self.policy = policy if policy is not None else NO_FAULTS
         #: fault-tolerance incident counters (see fault_counters)
         self.timeouts = 0
@@ -467,7 +470,13 @@ class ProcessExecutor(BatchExecutor):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+            # More processes than CPUs buy nothing for CPU-bound trials,
+            # and a fork pool starts all of them at the first batch: a
+            # requested worker count never becomes that many processes.
+            # ``self.workers`` (reported in eval_stats) keeps the request.
+            self._pool = ProcessPoolExecutor(
+                max_workers=min(self.workers, os.cpu_count() or 1),
+            )
         return self._pool
 
     def _kill_pool(self) -> None:

@@ -55,9 +55,9 @@ from repro.runtime.cache import EvaluationCache, context_fingerprint
 from repro.verify.quality import QualitySpec
 from repro.runtime.machine import DEFAULT_MACHINE, MachineModel
 
-__all__ = ["ConfigurationEvaluator", "TimingMode", "measured_seconds"]
+__all__ = ["ConfigurationEvaluator", "DEFAULT_TIME_LIMIT", "TimingMode", "measured_seconds"]
 
-_DEFAULT_TIME_LIMIT = 24 * 3600.0  # the paper's per-search limit
+DEFAULT_TIME_LIMIT = 24 * 3600.0  # the paper's per-search limit
 
 
 class TimingMode(enum.Enum):
@@ -172,7 +172,7 @@ class ConfigurationEvaluator:
         program: Program,
         quality: QualitySpec | None = None,
         machine: MachineModel = DEFAULT_MACHINE,
-        time_limit_seconds: float = _DEFAULT_TIME_LIMIT,
+        time_limit_seconds: float = DEFAULT_TIME_LIMIT,
         max_evaluations: int | None = None,
         measurement_noise: float = 0.01,
         timing: TimingMode = TimingMode.MODELED,

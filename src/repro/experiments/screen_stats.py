@@ -19,10 +19,9 @@ from __future__ import annotations
 import math
 
 from repro.benchmarks.base import get_benchmark
-from repro.core.evaluator import ConfigurationEvaluator
+from repro.harness.options import SearchOptions, build_evaluator
 from repro.harness.reporting import format_quality, format_table, write_csv
 from repro.search.registry import make_strategy
-from repro.typeforge.errorbound import certify_benchmark
 
 __all__ = ["rows", "render", "run", "HEADERS", "PAIRS"]
 
@@ -48,14 +47,8 @@ PAIRS = (
 
 
 def _search(program: str, algorithm: str, screened: bool):
-    bench = get_benchmark(program)
-    screen = None
-    screen_info = None
-    if screened:
-        _, screen = certify_benchmark(bench)
-        screen_info = screen.info()
-    evaluator = ConfigurationEvaluator(
-        bench, screen=screen, screen_info=screen_info,
+    evaluator = build_evaluator(
+        get_benchmark(program), None, SearchOptions(screen=screened),
     )
     outcome = make_strategy(algorithm).run(evaluator)
     return outcome, evaluator.stats.screened

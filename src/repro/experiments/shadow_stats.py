@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 
 from repro.benchmarks.base import get_benchmark
-from repro.core.evaluator import ConfigurationEvaluator
+from repro.harness.options import SearchOptions, build_evaluator
 from repro.harness.reporting import format_quality, format_table, write_csv
 from repro.search.registry import make_strategy
-from repro.shadow import shadow_guidance
 
 __all__ = ["rows", "render", "run", "HEADERS", "PAIRS"]
 
@@ -45,13 +44,8 @@ PAIRS = (
 
 
 def _search(program: str, algorithm: str, guided: bool):
-    bench = get_benchmark(program)
-    location_order = None
-    shadow_info = None
-    if guided:
-        location_order, shadow_info = shadow_guidance(bench)
-    evaluator = ConfigurationEvaluator(
-        bench, location_order=location_order, shadow_info=shadow_info,
+    evaluator = build_evaluator(
+        get_benchmark(program), None, SearchOptions(shadow=guided),
     )
     return make_strategy(algorithm).run(evaluator)
 

@@ -24,24 +24,28 @@ import sys
 from repro.benchmarks.base import (
     application_benchmarks, get_benchmark, kernel_benchmarks,
 )
-from repro.core.batch import EXECUTOR_NAMES, make_executor
-from repro.core.evaluator import ConfigurationEvaluator
+from repro.core.batch import EXECUTOR_NAMES
+from repro.core.evaluator import DEFAULT_TIME_LIMIT, ConfigurationEvaluator
 from repro.errors import MixPBenchError
+from repro.harness.options import OptionError, SearchOptions, build_evaluator
 from repro.harness.reporting import (
     format_eval_stats, format_prune_stats, format_quality,
     format_screen_stats, format_shadow_stats, format_speedup, format_table,
 )
 from repro.harness.runner import Harness
+from repro.search.bitwidth import ROUNDING_MODES
 from repro.search.registry import (
     available_strategies, make_strategy, strategy_kwargs,
 )
 from repro.verify.quality import QualitySpec
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "add_search_options", "search_options"]
 
 
-def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
-    """Shared batch-execution/caching flags for search-running commands."""
+def add_search_options(parser: argparse.ArgumentParser) -> None:
+    """The search-option flags (see :class:`SearchOptions`) of every
+    command that runs or submits searches; :func:`search_options`
+    reads them back."""
     parser.add_argument(
         "--executor", choices=EXECUTOR_NAMES, default="serial",
         help="batch backend for configuration evaluation (default: serial)",
@@ -49,18 +53,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None,
         help="worker count for the thread/process executors",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent evaluation cache",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="evaluation cache directory (default: <output>/cache)",
-    )
-    parser.add_argument(
-        "--trace", action="store_true",
-        help="write a JSON-lines telemetry trace next to the results",
     )
     parser.add_argument(
         "--trial-timeout", type=float, default=None, metavar="SECONDS",
@@ -72,18 +64,22 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         help="retry transient worker failures up to N times with "
              "exponential backoff (default: 0, no retries)",
     )
-
-
-def _add_order_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--prune", action="store_true",
+        help="restrict each search space with the static dataflow pruner",
+    )
     parser.add_argument(
         "--order", choices=["none", "shadow"], default="none",
         help="search-location ordering: 'shadow' runs one shadow "
              "sensitivity analysis and enumerates locations "
              "most-sensitive-first (default: none)",
     )
-
-
-def _add_screen_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--rounding", choices=ROUNDING_MODES, default="nearest",
+        help="store-rounding mode for emulated e8m*/e11m* formats "
+             "(consumed by the BW bit-width bisection strategy; "
+             "default: nearest, i.e. round-to-nearest-even)",
+    )
     parser.add_argument(
         "--screen", action="store_true",
         help="skip configurations whose statically certified error "
@@ -93,12 +89,53 @@ def _add_screen_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_rounding_flag(parser: argparse.ArgumentParser) -> None:
+#: the flag that sets each option field whose value argparse does not
+#: already restrict, to report a bad value under the flag typed
+_OPTION_FLAGS = {
+    "max_evaluations": "--max-evaluations", "time_limit_seconds": "--time-limit-hours",
+    "executor_workers": "--workers", "trial_timeout": "--trial-timeout",
+    "max_retries": "--max-retries",
+}
+
+
+def search_options(args: argparse.Namespace) -> SearchOptions:
+    """The :class:`SearchOptions` of a parsed command line (``run`` has
+    no budget flags: its YAML entries carry the budgets)."""
+    hours = getattr(args, "time_limit_hours", None)
+    try:
+        return SearchOptions(
+            max_evaluations=getattr(args, "max_evaluations", None),
+            time_limit_seconds=DEFAULT_TIME_LIMIT if hours is None else hours * 3600.0,
+            executor=args.executor,
+            executor_workers=args.workers,
+            trial_timeout=args.trial_timeout,
+            max_retries=args.max_retries,
+            prune=args.prune,
+            shadow=args.order == "shadow",
+            rounding=args.rounding,
+            screen=args.screen,
+        )
+    except OptionError as error:
+        # the time-limit checks hold for hours as for seconds
+        value = hours if error.name == "time_limit_seconds" else error.value
+        raise MixPBenchError(
+            f"argument {_OPTION_FLAGS[error.name]}: {error.requirement}, got {value!r}"
+        ) from None
+
+
+def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
+    """Cache and trace flags of the commands that run searches here."""
     parser.add_argument(
-        "--rounding", choices=["nearest", "stochastic"], default="nearest",
-        help="store-rounding mode for emulated e8m*/e11m* formats "
-             "(consumed by the BW bit-width bisection strategy; "
-             "default: nearest, i.e. round-to-nearest-even)",
+        "--no-cache", action="store_true",
+        help="disable the persistent evaluation cache",
+    )
+    parser.add_argument(
+        "--cache-dir", default=None,
+        help="evaluation cache directory (default: <output>/cache)",
+    )
+    parser.add_argument(
+        "--trace", action="store_true",
+        help="write a JSON-lines telemetry trace next to the results",
     )
 
 
@@ -178,13 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a YAML harness configuration")
     run.add_argument("config")
     run.add_argument("--output-dir", default="results")
-    run.add_argument(
-        "--prune", action="store_true",
-        help="restrict each search space with the static dataflow pruner",
-    )
-    _add_order_flag(run)
-    _add_rounding_flag(run)
-    _add_screen_flag(run)
+    add_search_options(run)
     _add_execution_flags(run)
 
     search = sub.add_parser("search", help="run one mixed-precision search")
@@ -205,13 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--save", default=None, metavar="PATH",
         help="also save the SearchOutcome as interchange JSON",
     )
-    search.add_argument(
-        "--prune", action="store_true",
-        help="restrict the search space with the static dataflow pruner",
-    )
-    _add_order_flag(search)
-    _add_rounding_flag(search)
-    _add_screen_flag(search)
+    add_search_options(search)
     _add_execution_flags(search)
 
     grid = sub.add_parser(
@@ -241,14 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="resume a journaled run: skip finished jobs, replay "
              "completed trials, continue from the cut point",
     )
-    grid.add_argument(
-        "--prune", action="store_true",
-        help="restrict every job's search space with the static dataflow pruner",
-    )
-    _add_order_flag(grid)
-    _add_rounding_flag(grid)
-    _add_screen_flag(grid)
     grid.add_argument("--output-dir", default="results")
+    add_search_options(grid)
     _add_execution_flags(grid)
 
     sensitivity = sub.add_parser(
@@ -339,29 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tenant", default="default",
         help="tenant the job is accounted against (default: default)",
     )
-    submit.add_argument(
-        "--executor", choices=EXECUTOR_NAMES, default="serial",
-        help="batch backend each shard evaluates with (default: serial)",
-    )
-    submit.add_argument(
-        "--workers", type=int, default=None,
-        help="worker count for the thread/process executors",
-    )
-    submit.add_argument(
-        "--trial-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-trial wall-clock budget inside each shard",
-    )
-    submit.add_argument(
-        "--max-retries", type=int, default=0, metavar="N",
-        help="retry transient worker failures up to N times",
-    )
-    submit.add_argument(
-        "--prune", action="store_true",
-        help="restrict every shard's search space with the static pruner",
-    )
-    _add_order_flag(submit)
-    _add_rounding_flag(submit)
-    _add_screen_flag(submit)
+    add_search_options(submit)
     submit.add_argument(
         "--ack-timeout", type=float, default=30.0, metavar="SECONDS",
         help="how long to wait for the daemon to acknowledge (default: 30)",
@@ -488,17 +485,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     harness = Harness(
         output_dir=args.output_dir,
-        executor=args.executor,
-        workers=args.workers,
+        options=search_options(args),
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         trace=args.trace,
-        trial_timeout=args.trial_timeout,
-        max_retries=args.max_retries,
-        prune=args.prune,
-        shadow=args.order == "shadow",
-        rounding=args.rounding,
-        screen=args.screen,
     )
     for report in harness.run_file(args.config):
         print(f"\n{report.name} ({report.metric} <= {report.threshold:g})")
@@ -625,10 +615,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     quality = QualitySpec(args.metric or bench.metric, threshold)
     timing = TimingMode.WALL_CLOCK if args.timing == "wall" else TimingMode.MODELED
     output_dir = Path(args.output_dir)
-    executor = make_executor(
-        args.executor, args.workers,
-        trial_timeout=args.trial_timeout, max_retries=args.max_retries,
-    )
+    options = search_options(args)
+    executor = options.make_executor()
     cache = None
     if not args.no_cache:
         cache = EvaluationCache(args.cache_dir or output_dir / "cache")
@@ -637,39 +625,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
         trace = TraceWriter(
             output_dir / "traces" / f"{bench.name}-{args.algorithm}.jsonl"
         )
-    space_override = None
-    prune_info = None
-    if args.prune:
-        from repro.typeforge.prune import prune_report
-
-        tf_report = bench.report()
-        pruned = prune_report(tf_report)
-        space_override = pruned.space
-        prune_info = pruned.stats(tf_report.search_space())
-    location_order = None
-    shadow_info = None
-    if args.order == "shadow":
-        from repro.shadow import shadow_guidance
-
-        location_order, shadow_info = shadow_guidance(bench)
-    screen = None
-    screen_info = None
-    if args.screen:
-        from repro.typeforge.errorbound import certify_benchmark
-
-        _, screen = certify_benchmark(bench)
-        screen_info = screen.info()
     try:
-        evaluator = ConfigurationEvaluator(
-            bench, quality=quality, max_evaluations=args.max_evaluations,
-            timing=timing, executor=executor, cache=cache, trace=trace,
-            space_override=space_override, prune_info=prune_info,
-            location_order=location_order, shadow_info=shadow_info,
-            screen=screen, screen_info=screen_info,
+        evaluator = build_evaluator(
+            bench, quality, options,
+            executor=executor, cache=cache, trace=trace, timing=timing,
         )
         strategy = make_strategy(
             args.algorithm,
-            **strategy_kwargs(args.algorithm, rounding=args.rounding),
+            **strategy_kwargs(args.algorithm, rounding=options.rounding),
         )
         outcome = strategy.run(evaluator)
     finally:
@@ -682,11 +645,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"  analysis time: {outcome.analysis_seconds / 3600.0:.2f} simulated hours")
     stats = outcome.metadata.get("eval_stats") or {}
     print(f"  evaluation: {format_eval_stats(stats)}")
-    if prune_info is not None:
-        print(f"  pruned: {format_prune_stats(prune_info)}")
-    if shadow_info is not None:
-        print(f"  shadow: {format_shadow_stats(shadow_info)}")
-    if screen_info is not None:
+    if evaluator.prune_info is not None:
+        print(f"  pruned: {format_prune_stats(evaluator.prune_info)}")
+    if evaluator.shadow_info is not None:
+        print(f"  shadow: {format_shadow_stats(evaluator.shadow_info)}")
+    if evaluator.screen_info is not None:
         print(f"  screen: {format_screen_stats(outcome.metadata.get('screen'))}")
     if outcome.found_solution:
         print(f"  speedup: {format_speedup(outcome.speedup)}")
@@ -712,17 +675,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         cache_dir = args.cache_dir or str(output_dir / "cache")
     jobs = grid_jobs(
         args.programs, args.algorithms, args.thresholds,
-        time_limit_seconds=args.time_limit_hours * 3600.0,
-        max_evaluations=args.max_evaluations,
-        executor=args.executor,
-        executor_workers=args.workers,
-        cache_dir=cache_dir,
-        trial_timeout=args.trial_timeout,
-        max_retries=args.max_retries,
-        prune=args.prune,
-        shadow=args.order == "shadow",
-        rounding=args.rounding,
-        screen=args.screen,
+        search_options(args), cache_dir=cache_dir,
     )
     results = run_grid(
         jobs, workers=args.grid_workers,
@@ -779,16 +732,7 @@ def _submit_spec(args: argparse.Namespace):
         programs=tuple(args.programs),
         algorithms=tuple(args.algorithms),
         thresholds=tuple(args.thresholds),
-        max_evaluations=args.max_evaluations,
-        time_limit_seconds=args.time_limit_hours * 3600.0,
-        executor=args.executor,
-        executor_workers=args.workers,
-        trial_timeout=args.trial_timeout,
-        max_retries=args.max_retries,
-        prune=args.prune,
-        shadow=args.order == "shadow",
-        rounding=args.rounding,
-        screen=args.screen,
+        **search_options(args).option_values(),
     )
 
 

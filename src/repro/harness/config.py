@@ -10,17 +10,25 @@ The harness is driven by a per-benchmark YAML file::
       threshold: 1.0e-6          # acceptance threshold
       runs: 10                   # timed runs per configuration
       time_limit_hours: 24       # simulated analysis budget
-      executor: process          # batch executor: serial/thread/process
-      workers: 4                 # worker count for thread/process
       cache: true                # persistent evaluation cache on/off
+      executor: process          # search options (see below)
+      workers: 4
       analysis:
         floatsmith:              # analysis id
           name: floatSmith       # plugin name in the registry
           extra_args:
             algorithm: ddebug    # search strategy
 
-Unknown keys are rejected so typos fail loudly.  ``load_config``
-returns one :class:`HarnessConfig` per top-level key.
+The entry keys ``executor``, ``workers``, ``prune``, ``shadow``,
+``rounding`` and ``screen`` set the entry's
+:class:`~repro.harness.options.SearchOptions` fields (``workers`` is
+``executor_workers``) and are validated by it; they override the
+harness-wide command-line flags, and a ``floatSmith`` analysis's
+``extra_args`` override them in turn (docs/harness.md).
+
+Unknown keys and ill-typed values are rejected with
+:class:`~repro.errors.HarnessConfigError` so typos fail loudly.
+``load_config`` returns one :class:`HarnessConfig` per top-level key.
 """
 
 from __future__ import annotations
@@ -32,16 +40,23 @@ from typing import Any, Mapping
 import yaml
 
 from repro.errors import HarnessConfigError
+from repro.harness.options import (
+    OptionError, SearchOptions, as_count, as_flag, as_number,
+)
 
 __all__ = ["AnalysisSpec", "HarnessConfig", "load_config", "parse_config"]
+
+#: entry keys that set a search option: YAML key -> SearchOptions field
+_OPTION_KEYS = {
+    "executor": "executor", "workers": "executor_workers", "prune": "prune",
+    "shadow": "shadow", "rounding": "rounding", "screen": "screen",
+}
 
 _TOP_KEYS = {
     "benchmark", "build", "build_dir", "clean", "metric", "threshold",
     "runs", "time_limit_hours", "analysis", "args", "bin", "copy", "output",
-    "executor", "workers", "cache", "prune", "shadow", "rounding", "screen",
+    "cache", *_OPTION_KEYS,
 }
-
-_EXECUTOR_NAMES = ("serial", "thread", "process")
 
 
 @dataclass(frozen=True)
@@ -66,22 +81,11 @@ class HarnessConfig:
     analyses: tuple[AnalysisSpec, ...] = ()
     build: tuple[str, ...] = ()
     clean: tuple[str, ...] = ()
-    #: batch executor (serial/thread/process); None inherits the
-    #: harness-wide choice
-    executor: str | None = None
-    #: worker count for thread/process executors; None inherits
-    workers: int | None = None
     #: persistent evaluation cache toggle; None inherits
     cache: bool | None = None
-    #: static search-space pruning toggle; None inherits
-    prune: bool | None = None
-    #: shadow-guided search ordering toggle; None inherits
-    shadow: bool | None = None
-    #: emulated-format store-rounding mode ("nearest"/"stochastic");
-    #: None inherits
-    rounding: str | None = None
-    #: certified error-bound screening toggle; None inherits
-    screen: bool | None = None
+    #: the search options this entry sets (SearchOptions field ->
+    #: validated value); the others inherit the harness-wide choice
+    options: dict[str, Any] = field(default_factory=dict, hash=False)
 
     def analysis(self, identifier: str) -> AnalysisSpec:
         for spec in self.analyses:
@@ -126,81 +130,46 @@ def _parse_entry(name: str, body: Any, source: str) -> HarnessConfig:
             f"{source}: entry {name!r} has unknown keys {sorted(unknown)}"
         )
 
-    threshold = body.get("threshold")
-    if threshold is not None:
+    def invalid(key: str, reason: str) -> HarnessConfigError:
+        return HarnessConfigError(f"{source}: {name}: {key} {reason}")
+
+    def checked(key: str, check, default=None):
+        value = body.get(key)
+        if value is None:
+            return default
         try:
-            threshold = float(threshold)
-        except (TypeError, ValueError):
-            raise HarnessConfigError(
-                f"{source}: {name}: threshold must be a number, got {threshold!r}"
-            ) from None
-        if threshold <= 0:
-            raise HarnessConfigError(f"{source}: {name}: threshold must be positive")
+            return check(value)
+        except ValueError as error:
+            raise invalid(key, f"{error}, got {value!r}") from None
 
-    runs = body.get("runs")
-    if runs is not None:
-        if not isinstance(runs, int) or runs < 1:
-            raise HarnessConfigError(f"{source}: {name}: runs must be a positive integer")
+    threshold = checked("threshold", lambda v: as_number(_numeric(v), positive=True))
+    runs = checked("runs", lambda v: as_count(v, 1))
+    hours = checked(
+        "time_limit_hours",
+        lambda v: as_number(_numeric(v), positive=True, allow_inf=True), 24.0,
+    )
+    metric = checked("metric", _string)
+    benchmark = checked("benchmark", _string, name)
+    build = checked("build", _steps, ())
+    clean = checked("clean", _steps, ())
+    cache = checked("cache", as_flag)
 
-    hours = body.get("time_limit_hours", 24.0)
+    overrides = {
+        field_name: body[key] for key, field_name in _OPTION_KEYS.items()
+        if body.get(key) is not None
+    }
     try:
-        hours = float(hours)
-    except (TypeError, ValueError):
-        raise HarnessConfigError(
-            f"{source}: {name}: time_limit_hours must be a number"
-        ) from None
+        validated = SearchOptions(**overrides)
+    except OptionError as error:
+        key = next(key for key, name in _OPTION_KEYS.items() if name == error.name)
+        raise invalid(key, error.reason) from None
+    options = {field_name: getattr(validated, field_name) for field_name in overrides}
 
-    executor = body.get("executor")
-    if executor is not None:
-        executor = str(executor).strip().lower()
-        if executor not in _EXECUTOR_NAMES:
-            raise HarnessConfigError(
-                f"{source}: {name}: executor must be one of "
-                f"{list(_EXECUTOR_NAMES)}, got {executor!r}"
-            )
-
-    workers = body.get("workers")
-    if workers is not None:
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise HarnessConfigError(
-                f"{source}: {name}: workers must be a positive integer"
-            )
-
-    cache = body.get("cache")
-    if cache is not None and not isinstance(cache, bool):
-        raise HarnessConfigError(
-            f"{source}: {name}: cache must be a boolean"
-        )
-
-    prune = body.get("prune")
-    if prune is not None and not isinstance(prune, bool):
-        raise HarnessConfigError(
-            f"{source}: {name}: prune must be a boolean"
-        )
-
-    shadow = body.get("shadow")
-    if shadow is not None and not isinstance(shadow, bool):
-        raise HarnessConfigError(
-            f"{source}: {name}: shadow must be a boolean"
-        )
-
-    screen = body.get("screen")
-    if screen is not None and not isinstance(screen, bool):
-        raise HarnessConfigError(
-            f"{source}: {name}: screen must be a boolean"
-        )
-
-    rounding = body.get("rounding")
-    if rounding is not None:
-        rounding = str(rounding).strip().lower()
-        if rounding not in ("nearest", "stochastic"):
-            raise HarnessConfigError(
-                f"{source}: {name}: rounding must be 'nearest' or "
-                f"'stochastic', got {rounding!r}"
-            )
-
+    analysis = body.get("analysis") or {}
+    if not isinstance(analysis, Mapping):
+        raise invalid("analysis", "must be a mapping of analysis ids")
     analyses = []
-    for identifier, spec in (body.get("analysis") or {}).items():
+    for identifier, spec in analysis.items():
         if not isinstance(spec, Mapping) or "name" not in spec:
             raise HarnessConfigError(
                 f"{source}: {name}: analysis {identifier!r} needs a 'name' key"
@@ -214,19 +183,40 @@ def _parse_entry(name: str, body: Any, source: str) -> HarnessConfig:
 
     return HarnessConfig(
         name=name,
-        benchmark=str(body.get("benchmark", name)),
-        metric=body.get("metric"),
+        benchmark=benchmark,
+        metric=metric,
         threshold=threshold,
         runs=runs,
         time_limit_hours=hours,
         analyses=tuple(analyses),
-        build=tuple(body.get("build") or ()),
-        clean=tuple(body.get("clean") or ()),
-        executor=executor,
-        workers=workers,
+        build=build,
+        clean=clean,
         cache=cache,
-        prune=prune,
-        shadow=shadow,
-        rounding=rounding,
-        screen=screen,
+        options=options,
     )
+
+
+def _numeric(value: Any) -> Any:
+    """YAML 1.1 reads ``1e-6`` (no decimal point) as a string; accept
+    any string that spells a number."""
+    if isinstance(value, str):
+        try:
+            return float(value)
+        except ValueError:
+            raise ValueError("must be a number") from None
+    return value
+
+
+def _string(value: Any) -> str:
+    if not isinstance(value, str):
+        raise ValueError("must be a string")
+    return value
+
+
+def _steps(value: Any) -> tuple[str, ...]:
+    """A build/clean step list; a single string is one step."""
+    if isinstance(value, str):
+        return (value,)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError("must be a list of strings")
+    return tuple(value)

@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
 
 from repro.benchmarks.base import Benchmark
-from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.results import SearchOutcome
 from repro.errors import PluginError
+from repro.harness.options import OptionError, SearchOptions, build_evaluator
 from repro.search.registry import make_strategy
 from repro.search.registry import strategy_kwargs as _registry_kwargs
 from repro.verify.quality import QualitySpec
@@ -42,11 +42,13 @@ __all__ = [
 class DeployedApp:
     """A benchmark deployed by the harness, ready to be analysed.
 
-    The three optional fields carry the harness's execution services
+    The three optional services carry the harness's execution layer
     down to the plugin's evaluator: a batch executor for parallel
     configuration evaluation, a persistent evaluation cache, and a
     trace writer for telemetry.  Plugins that ignore them keep the
-    original serial behaviour.
+    original serial behaviour.  ``options`` holds the harness-wide
+    search options with the YAML entry's keys applied; its time limit is
+    set from ``time_limit_seconds``, so both read the same budget.
     """
 
     benchmark: Benchmark
@@ -57,15 +59,10 @@ class DeployedApp:
     executor: Any = None
     cache: Any = None
     trace: Any = None
-    #: restrict the search space with the static dataflow pruner
-    prune: bool = False
-    #: order search locations by shadow-run sensitivity
-    shadow: bool = False
-    #: emulated-format store-rounding mode ("nearest"/"stochastic")
-    rounding: str = "nearest"
-    #: skip configurations whose certified error bound violates the
-    #: threshold (sound: skips only, never accepts)
-    screen: bool = False
+    options: SearchOptions = field(default_factory=SearchOptions)
+
+    def __post_init__(self) -> None:
+        self.options = replace(self.options, time_limit_seconds=self.time_limit_seconds)
 
 
 @dataclass
@@ -93,59 +90,37 @@ class FloatSmithPlugin(AnalysisPlugin):
 
     plugin_name = "floatSmith"
 
+    #: ``extra_args`` keys that set a search option for this analysis
+    #: alone, overriding the YAML entry and the harness-wide flag
+    OPTION_ARGS = ("max_evaluations", "prune", "shadow", "rounding", "screen")
+
     def analysis(self, app: DeployedApp, **extra_args: Any) -> AnalysisResult:
         algorithm = str(extra_args.pop("algorithm", "ddebug"))
-        strategy_kwargs = dict(extra_args.pop("strategy_args", {}))
-        max_evaluations = extra_args.pop("max_evaluations", None)
-        prune = bool(extra_args.pop("prune", False)) or app.prune
-        shadow = bool(extra_args.pop("shadow", False)) or app.shadow
-        screen = bool(extra_args.pop("screen", False)) or app.screen
-        rounding = str(extra_args.pop("rounding", "") or app.rounding)
+        strategy_kwargs = extra_args.pop("strategy_args", {})
+        if not isinstance(strategy_kwargs, Mapping):
+            raise PluginError("floatSmith: extra_args strategy_args must be a mapping")
+        strategy_kwargs = dict(strategy_kwargs)
+        overrides = {
+            name: extra_args.pop(name) for name in self.OPTION_ARGS if name in extra_args
+        }
         if extra_args:
             raise PluginError(
                 f"floatSmith: unknown extra_args {sorted(extra_args)}"
             )
+        try:
+            options = replace(app.options, **overrides)
+        except OptionError as error:
+            raise PluginError(
+                f"floatSmith: extra_args {error.name} {error.reason}"
+            ) from None
 
         bench = app.benchmark
         bench.runs_per_config = app.runs_per_config
-        space_override = None
-        prune_info = None
-        if prune:
-            from repro.typeforge.prune import prune_report
-
-            report = bench.report()
-            pruned = prune_report(report)
-            space_override = pruned.space
-            prune_info = pruned.stats(report.search_space())
-        location_order = None
-        shadow_info = None
-        if shadow:
-            from repro.shadow import shadow_guidance
-
-            location_order, shadow_info = shadow_guidance(bench)
-        certificate = None
-        screen_info = None
-        if screen:
-            from repro.typeforge.errorbound import certify_benchmark
-
-            _, certificate = certify_benchmark(bench)
-            screen_info = certificate.info()
-        evaluator = ConfigurationEvaluator(
-            bench,
-            quality=app.quality,
-            time_limit_seconds=app.time_limit_seconds,
-            max_evaluations=max_evaluations,
-            executor=app.executor,
-            cache=app.cache,
-            trace=app.trace,
-            space_override=space_override,
-            prune_info=prune_info,
-            location_order=location_order,
-            shadow_info=shadow_info,
-            screen=certificate,
-            screen_info=screen_info,
+        evaluator = build_evaluator(
+            bench, app.quality, options,
+            executor=app.executor, cache=app.cache, trace=app.trace,
         )
-        for key, value in _registry_kwargs(algorithm, rounding=rounding).items():
+        for key, value in _registry_kwargs(algorithm, rounding=options.rounding).items():
             strategy_kwargs.setdefault(key, value)
         strategy = make_strategy(algorithm, **strategy_kwargs)
         outcome = strategy.run(evaluator)

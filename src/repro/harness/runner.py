@@ -15,15 +15,15 @@ and speedup.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from repro.benchmarks.base import Benchmark, get_benchmark
-from repro.core.batch import make_executor
 from repro.core.evaluator import measured_seconds
 from repro.core.telemetry import TraceWriter
 from repro.core.types import PrecisionConfig
 from repro.harness.config import HarnessConfig, load_config
+from repro.harness.options import SearchOptions
 from repro.harness.plugins import AnalysisResult, DeployedApp, get_plugin
 from repro.runtime.cache import EvaluationCache
 from repro.verify.quality import QualitySpec
@@ -74,10 +74,13 @@ class Harness:
     ----------
     output_dir:
         Root for artifacts, traces and the evaluation cache.
-    executor / workers:
-        Default batch-execution backend handed to analyses
-        (``serial``/``thread``/``process``); per-entry YAML keys
-        override it.
+    options:
+        Harness-wide :class:`~repro.harness.options.SearchOptions`
+        (executor and fault policy, ``--prune``, ``--order shadow``,
+        ``--rounding``, ``--screen``); each entry's YAML keys override
+        them, and a ``floatSmith`` analysis's ``extra_args`` override
+        those in turn.  The time limit is the entry's
+        ``time_limit_hours``.
     use_cache:
         Persistent evaluation cache toggle (default on; per-entry
         ``cache:`` overrides).  The cache lives under
@@ -85,54 +88,21 @@ class Harness:
     trace:
         When true, each entry writes a JSON-lines telemetry trace to
         ``<output_dir>/<entry>/trace.jsonl``.
-    trial_timeout / max_retries:
-        Fault policy handed to the batch executors: per-trial
-        wall-clock budget in real seconds and transient-failure retry
-        bound (see :class:`repro.core.batch.FaultPolicy` and
-        docs/fault-tolerance.md).  Defaults leave fault handling off.
-    prune:
-        Restrict each analysis's search space with the static dataflow
-        pruner (``--prune``; per-entry ``prune:`` overrides; see
-        docs/static-analysis.md).
-    shadow:
-        Order each analysis's search locations by shadow-run
-        sensitivity (``--order shadow``; per-entry ``shadow:``
-        overrides; see docs/shadow-analysis.md).
-    screen:
-        Certified error-bound screening (``--screen``; per-entry
-        ``screen:`` overrides; see docs/error-bounds.md).  Screening
-        only skips statically doomed configurations — it never accepts
-        one, so each analysis's verified error matches the unscreened
-        run.
     """
 
     def __init__(
         self,
         output_dir: str | Path = "results",
-        executor: str = "serial",
-        workers: int | None = None,
+        options: SearchOptions | None = None,
         use_cache: bool = True,
         cache_dir: str | Path | None = None,
         trace: bool = False,
-        trial_timeout: float | None = None,
-        max_retries: int = 0,
-        prune: bool = False,
-        shadow: bool = False,
-        rounding: str = "nearest",
-        screen: bool = False,
     ) -> None:
         self.output_dir = Path(output_dir)
-        self.executor = executor
-        self.workers = workers
+        self.options = options if options is not None else SearchOptions()
         self.use_cache = use_cache
         self.cache_dir = Path(cache_dir) if cache_dir else self.output_dir / "cache"
         self.trace = trace
-        self.trial_timeout = trial_timeout
-        self.max_retries = max_retries
-        self.prune = prune
-        self.shadow = shadow
-        self.rounding = rounding
-        self.screen = screen
 
     def run_file(self, path: str | Path) -> list[HarnessReport]:
         """Run every entry of a YAML configuration file."""
@@ -149,12 +119,11 @@ class Harness:
             threshold=quality.threshold,
         )
         bench.inputs()  # "build": generate inputs / data files
-        executor = make_executor(
-            entry.executor or self.executor,
-            entry.workers if entry.workers is not None else self.workers,
-            trial_timeout=self.trial_timeout,
-            max_retries=self.max_retries,
+        options = replace(
+            self.options, time_limit_seconds=entry.time_limit_hours * 3600.0,
+            **entry.options,
         )
+        executor = options.make_executor()
         cache_on = entry.cache if entry.cache is not None else self.use_cache
         cache = EvaluationCache(self.cache_dir) if cache_on else None
         trace = (
@@ -165,15 +134,12 @@ class Harness:
             benchmark=bench,
             quality=quality,
             runs_per_config=entry.runs or bench.runs_per_config,
-            time_limit_seconds=entry.time_limit_hours * 3600.0,
+            time_limit_seconds=options.time_limit_seconds,
             output_dir=self.output_dir / entry.name,
             executor=executor,
             cache=cache,
             trace=trace,
-            prune=entry.prune if entry.prune is not None else self.prune,
-            shadow=entry.shadow if entry.shadow is not None else self.shadow,
-            rounding=entry.rounding if entry.rounding is not None else self.rounding,
-            screen=entry.screen if entry.screen is not None else self.screen,
+            options=options,
         )
         try:
             for spec in entry.analyses:

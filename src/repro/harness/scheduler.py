@@ -29,57 +29,35 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from repro.benchmarks.base import get_benchmark
-from repro.core.batch import make_executor
 from repro.core.checkpoint import (
     DEFAULT_RUNS_DIR, JournalTrialStore, RunJournal, job_key,
 )
-from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.results import SearchOutcome
+from repro.harness.options import SearchOptions, build_evaluator
 from repro.runtime.cache import EvaluationCache
 from repro.search.registry import canonical_name, make_strategy, strategy_kwargs
 from repro.verify.quality import QualitySpec
 
 __all__ = ["SearchJob", "JobResult", "run_grid", "run_shard", "grid_jobs"]
 
-_DEFAULT_TIME_LIMIT = 24 * 3600.0
-
 
 @dataclass(frozen=True)
-class SearchJob:
-    """One (program, algorithm, threshold) analysis to schedule.
+class SearchJob(SearchOptions):
+    """One (program, algorithm, threshold) analysis to schedule, with
+    its :class:`~repro.harness.options.SearchOptions`.
 
     ``executor``/``executor_workers`` select the *intra-job* batch
     backend (how one search evaluates its configuration batches);
     the ``workers`` argument of :func:`run_grid` remains the
     *inter-job* parallelism.  ``cache_dir`` attaches a persistent
     evaluation cache shared by every job that names the same path.
-    ``trial_timeout``/``max_retries`` configure the executor's
-    fault policy (per-trial wall-clock budget, transient-failure
-    retries); see :class:`repro.core.batch.FaultPolicy`.
     """
 
     program: str
     algorithm: str
     threshold: float
     metric: str | None = None
-    time_limit_seconds: float = _DEFAULT_TIME_LIMIT
-    max_evaluations: int | None = None
-    executor: str = "serial"
-    executor_workers: int | None = None
     cache_dir: str | None = None
-    trial_timeout: float | None = None
-    max_retries: int = 0
-    #: restrict the search space with the static dataflow pruner
-    prune: bool = False
-    #: order search locations by shadow-run sensitivity
-    shadow: bool = False
-    #: store-rounding mode for emulated formats ("nearest" or
-    #: "stochastic"); consumed by the bit-width bisection strategy,
-    #: ignored by strategies that never emit custom formats
-    rounding: str = "nearest"
-    #: skip configurations whose statically certified error bound
-    #: violates the threshold (sound: skips only, never accepts)
-    screen: bool = False
 
     def label(self) -> str:
         return f"{self.program}/{canonical_name(self.algorithm)}@{self.threshold:g}"
@@ -128,35 +106,15 @@ def grid_jobs(
     programs: Sequence[str],
     algorithms: Sequence[str],
     thresholds: Sequence[float],
-    time_limit_seconds: float = _DEFAULT_TIME_LIMIT,
-    max_evaluations: int | None = None,
-    executor: str = "serial",
-    executor_workers: int | None = None,
+    options: SearchOptions = SearchOptions(),
     cache_dir: str | Path | None = None,
-    trial_timeout: float | None = None,
-    max_retries: int = 0,
-    prune: bool = False,
-    shadow: bool = False,
-    rounding: str = "nearest",
-    screen: bool = False,
 ) -> list[SearchJob]:
     """The full cross product the paper's evaluation runs."""
+    values = options.option_values()
     return [
         SearchJob(
-            program=program,
-            algorithm=algorithm,
-            threshold=threshold,
-            time_limit_seconds=time_limit_seconds,
-            max_evaluations=max_evaluations,
-            executor=executor,
-            executor_workers=executor_workers,
-            cache_dir=str(cache_dir) if cache_dir else None,
-            trial_timeout=trial_timeout,
-            max_retries=max_retries,
-            prune=prune,
-            shadow=shadow,
-            rounding=rounding,
-            screen=screen,
+            program=program, algorithm=algorithm, threshold=threshold,
+            cache_dir=str(cache_dir) if cache_dir else None, **values,
         )
         for program in programs
         for algorithm in algorithms
@@ -185,58 +143,16 @@ def run_shard(
     try:
         bench = get_benchmark(job.program)
         quality = QualitySpec(job.metric or bench.metric, job.threshold)
-        batch_executor = make_executor(
-            job.executor, job.executor_workers,
-            trial_timeout=job.trial_timeout, max_retries=job.max_retries,
-        )
+        batch_executor = job.make_executor()
         if cache is None:
             cache = EvaluationCache(job.cache_dir) if job.cache_dir else None
         if journal is not None and key is not None:
             # fresh trials are journaled as they complete; journaled
             # ones replay with identical cost/EV (see repro.core.checkpoint)
             cache = JournalTrialStore(journal, key, replay, inner=cache)
-        space_override = None
-        prune_info = None
-        if job.prune:
-            from repro.typeforge.prune import prune_report
-
-            report = bench.report()
-            pruned = prune_report(report)
-            space_override = pruned.space
-            prune_info = pruned.stats(report.search_space())
-        location_order = None
-        shadow_info = None
-        if job.shadow:
-            # The shadow report is a pure function of the benchmark's
-            # inputs fingerprint, computed once per worker process and
-            # shared by every later shard (and by --screen below), so
-            # it is identical across serial/thread/process execution.
-            from repro.shadow import shadow_guidance
-
-            location_order, shadow_info = shadow_guidance(bench)
-        certificate = None
-        screen_info = None
-        if job.screen:
-            # Certification calibrates against that same shared
-            # shadow report; it adds no shadow run of its own.
-            from repro.typeforge.errorbound import certify_benchmark
-
-            _, certificate = certify_benchmark(bench)
-            screen_info = certificate.info()
         try:
-            evaluator = ConfigurationEvaluator(
-                bench,
-                quality=quality,
-                time_limit_seconds=job.time_limit_seconds,
-                max_evaluations=job.max_evaluations,
-                executor=batch_executor,
-                cache=cache,
-                space_override=space_override,
-                prune_info=prune_info,
-                location_order=location_order,
-                shadow_info=shadow_info,
-                screen=certificate,
-                screen_info=screen_info,
+            evaluator = build_evaluator(
+                bench, quality, job, executor=batch_executor, cache=cache,
             )
             strategy = make_strategy(
                 job.algorithm, **strategy_kwargs(job.algorithm, rounding=job.rounding)

@@ -26,9 +26,10 @@ resume trial-by-trial through their own run journals).
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Mapping
 
 from repro.core.checkpoint import JournalError, JsonlJournal, read_journal_records
-from repro.service.spec import JobRecord
+from repro.service.spec import JobRecord, SpecError
 
 __all__ = [
     "SERVICE_JOURNAL_VERSION", "ServiceJournal", "ServiceState",
@@ -72,15 +73,26 @@ class ServiceState:
 
 
 def load_service_state(path: str | Path) -> ServiceState:
-    """Rebuild the ledger from the journal, tolerating a torn tail."""
+    """Rebuild the ledger from the journal, tolerating a torn tail.
+
+    A submit record whose spec an earlier release accepted but this one
+    rejects (``executor_workers: 0``, say) keeps its job listed with the
+    grid alone: an unfinished one is failed with the reason, since it
+    cannot run again; a finished one keeps its state and results."""
     state = ServiceState()
+    rejected: dict[str, str] = {}
     records, state.valid_bytes, state.torn_tail = read_journal_records(path)
     for record in records:
         kind = record["kind"]
         if kind == "service":
             state.version = record.get("version")
         elif kind == "submit":
-            job = JobRecord.from_json_dict(record.get("job", {}))
+            payload = record.get("job", {})
+            try:
+                job = JobRecord.from_json_dict(payload)
+            except SpecError as error:
+                job = JobRecord.from_json_dict({**payload, "spec": _grid_of(payload)})
+                rejected[job.job_id] = f"spec rejected on reload: {error}"
             state.jobs[job.job_id] = job
             state.sequence = max(state.sequence, int(record.get("sequence", 0)))
         elif kind == "state":
@@ -91,7 +103,20 @@ def load_service_state(path: str | Path) -> ServiceState:
                 if record.get("stats"):
                     job.stats = dict(record["stats"])
         # unknown kinds are forward-compatible no-ops
+    for job_id, reason in rejected.items():
+        job = state.jobs[job_id]
+        if not job.terminal:
+            job.state, job.error = "failed", reason
     return state
+
+
+def _grid_of(payload: Mapping) -> object:
+    """The grid fields of a journaled job's spec, its options dropped."""
+    spec = payload.get("spec")
+    if not isinstance(spec, Mapping):
+        return spec
+    return {name: spec[name] for name in ("programs", "algorithms", "thresholds")
+            if name in spec}
 
 
 class ServiceJournal(JsonlJournal):

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from repro.core.batch import EXECUTOR_NAMES
 from repro.errors import MixPBenchError
+from repro.harness.options import OPTION_NAMES, OptionError, SearchOptions, as_number
 from repro.harness.scheduler import SearchJob, grid_jobs
 
 __all__ = [
@@ -34,16 +33,15 @@ __all__ = [
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
-_DEFAULT_TIME_LIMIT = 24 * 3600.0
-
 
 class SpecError(MixPBenchError):
     """A submitted grid spec is malformed."""
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """One submittable search job: a grid plus its execution options.
+class GridSpec(SearchOptions):
+    """One submittable search job: a grid plus its
+    :class:`~repro.harness.options.SearchOptions`.
 
     The shared evaluation cache is *not* part of the spec — the service
     owns it (every tenant's evaluations route through one store, which
@@ -54,20 +52,6 @@ class GridSpec:
     programs: tuple[str, ...]
     algorithms: tuple[str, ...]
     thresholds: tuple[float, ...]
-    max_evaluations: int | None = None
-    time_limit_seconds: float = _DEFAULT_TIME_LIMIT
-    executor: str = "serial"
-    executor_workers: int | None = None
-    trial_timeout: float | None = None
-    max_retries: int = 0
-    prune: bool = False
-    shadow: bool = False
-    #: store-rounding mode for emulated formats ("nearest" or
-    #: "stochastic"); only the bit-width bisection strategy consumes it
-    rounding: str = "nearest"
-    #: skip configurations whose statically certified error bound
-    #: violates the threshold (sound: skips only, never accepts)
-    screen: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "programs", tuple(self.programs))
@@ -79,32 +63,15 @@ class GridSpec:
             raise SpecError(
                 "a grid spec needs at least one program, algorithm and threshold"
             )
-        if self.executor not in EXECUTOR_NAMES:
-            raise SpecError(
-                f"unknown executor {self.executor!r}; "
-                f"choose one of {EXECUTOR_NAMES}"
-            )
-        if self.rounding not in ("nearest", "stochastic"):
-            raise SpecError(
-                f"unknown rounding mode {self.rounding!r}; "
-                "choose 'nearest' or 'stochastic'"
-            )
+        try:
+            super().__post_init__()
+        except OptionError as error:
+            raise SpecError(f"grid spec field {error.name!r} {error.reason}") from None
 
     def jobs(self, cache_dir: str | None = None) -> list[SearchJob]:
         """Expand into the shards a scheduler dispatches."""
         return grid_jobs(
-            self.programs, self.algorithms, self.thresholds,
-            time_limit_seconds=self.time_limit_seconds,
-            max_evaluations=self.max_evaluations,
-            executor=self.executor,
-            executor_workers=self.executor_workers,
-            cache_dir=cache_dir,
-            trial_timeout=self.trial_timeout,
-            max_retries=self.max_retries,
-            prune=self.prune,
-            shadow=self.shadow,
-            rounding=self.rounding,
-            screen=self.screen,
+            self.programs, self.algorithms, self.thresholds, self, cache_dir=cache_dir,
         )
 
     @property
@@ -127,19 +94,7 @@ class GridSpec:
             "programs": list(self.programs),
             "algorithms": list(self.algorithms),
             "thresholds": list(self.thresholds),
-            "max_evaluations": self.max_evaluations,
-            "time_limit_seconds": self.time_limit_seconds,
-            "executor": self.executor,
-            "executor_workers": self.executor_workers,
-            "trial_timeout": self.trial_timeout,
-            "max_retries": self.max_retries,
-            "prune": self.prune,
-            "shadow": self.shadow,
-            # Only serialised when set: specs that never touch emulated
-            # formats keep their pre-format JSON shape, so their content
-            # digests (and therefore job identifiers) are unchanged.
-            **({"rounding": self.rounding} if self.rounding != "nearest" else {}),
-            **({"screen": True} if self.screen else {}),
+            **self.options_json(),
         }
 
     @classmethod
@@ -149,42 +104,28 @@ class GridSpec:
         answers it with a rejection instead of dying on it."""
         if not isinstance(payload, Mapping):
             raise SpecError(f"grid spec must be an object, got {type(payload).__name__}")
-        unknown = set(payload) - _SPEC_FIELDS - _RETIRED_FIELDS
+        unknown = set(payload) - _GRID_FIELDS - set(OPTION_NAMES) - _RETIRED_FIELDS
         if unknown:
             raise SpecError(f"unknown grid spec field(s): {sorted(unknown)}")
-        trial_timeout = payload.get("trial_timeout")
+        programs = _strings(payload, "programs")
+        algorithms = _strings(payload, "algorithms")
+        thresholds = []
+        for value in _sequence(payload, "thresholds"):
+            try:
+                thresholds.append(as_number(value))
+            except ValueError as error:
+                raise SpecError(
+                    f"grid spec field 'thresholds' {error}, got {value!r}"
+                ) from None
         return cls(
-            programs=_strings(payload, "programs"),
-            algorithms=_strings(payload, "algorithms"),
-            thresholds=tuple(
-                _number("thresholds", value)
-                for value in _sequence(payload, "thresholds")
-            ),
-            max_evaluations=_optional_int(payload, "max_evaluations"),
-            time_limit_seconds=_number(
-                "time_limit_seconds",
-                payload.get("time_limit_seconds", _DEFAULT_TIME_LIMIT),
-                allow_inf=True,
-            ),
-            executor=payload.get("executor", "serial"),
-            executor_workers=_optional_int(payload, "executor_workers"),
-            trial_timeout=(
-                None if trial_timeout is None
-                else _number("trial_timeout", trial_timeout)
-            ),
-            max_retries=_optional_int(payload, "max_retries") or 0,
-            prune=_flag(payload, "prune"),
-            shadow=_flag(payload, "shadow"),
-            rounding=payload.get("rounding", "nearest"),
-            screen=_flag(payload, "screen"),
+            programs=programs,
+            algorithms=algorithms,
+            thresholds=tuple(thresholds),
+            **{name: payload[name] for name in OPTION_NAMES if name in payload},
         )
 
 
-_SPEC_FIELDS = {
-    "programs", "algorithms", "thresholds", "max_evaluations",
-    "time_limit_seconds", "executor", "executor_workers",
-    "trial_timeout", "max_retries", "prune", "shadow", "rounding", "screen",
-}
+_GRID_FIELDS = {"programs", "algorithms", "thresholds"}
 #: fields earlier releases wrote, accepted (with any value) and ignored
 #: so ledgers and spool files written by those releases still load
 _RETIRED_FIELDS = {"fuse"}
@@ -204,32 +145,6 @@ def _strings(payload: Mapping, name: str) -> tuple[str, ...]:
     if not all(isinstance(value, str) for value in values):
         raise SpecError(f"grid spec field {name!r} must list strings")
     return tuple(values)
-
-
-def _number(name: str, value, allow_inf: bool = False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"grid spec field {name!r} must hold numbers, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer too large for a float
-        number = math.inf
-    if math.isnan(number) or (math.isinf(number) and not allow_inf):
-        raise SpecError(f"grid spec field {name!r} must be finite, got {value!r}")
-    return number
-
-
-def _optional_int(payload: Mapping, name: str) -> int | None:
-    value = payload.get(name)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-        raise SpecError(f"grid spec field {name!r} must be an integer, got {value!r}")
-    return value
-
-
-def _flag(payload: Mapping, name: str) -> bool:
-    value = payload.get(name, False)
-    if not isinstance(value, bool):
-        raise SpecError(f"grid spec field {name!r} must be a boolean, got {value!r}")
-    return value
 
 
 @dataclass

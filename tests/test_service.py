@@ -433,6 +433,51 @@ class TestScheduler:
         reopened = load_service_state(paths["journal"]).jobs[stale.job_id]
         assert reopened.state == "failed"
 
+    def test_ledger_spec_the_validator_now_rejects_still_loads(
+        self, tmp_path, capsys,
+    ):
+        """Earlier releases journaled specs with out-of-range options
+        (``executor_workers: 0`` and the like).  Such a job stays listed:
+        failed with the reason if it had not finished, its recorded
+        state if it had; the scheduler starts and the other jobs
+        recover."""
+        from repro.harness.cli import main
+
+        root = tmp_path / "svc"
+        old_spec = {**SMALL_JSON, "time_limit_seconds": 86400.0,
+                    "executor": "process", "executor_workers": 0,
+                    "trial_timeout": None, "max_retries": 0,
+                    "prune": False, "shadow": False}
+        queued = {"job_id": "job-0001-0ld0ld00", "tenant": "alice",
+                  "spec": old_spec, "state": "queued", "error": None, "stats": {}}
+        finished = {**queued, "job_id": "job-0002-0ld0ld00",
+                    "spec": {**old_spec, "executor_workers": 1, "max_retries": -1}}
+        valid = JobRecord(job_id="job-0003-cafef00d", tenant="alice", spec=small_spec())
+        with ServiceJournal(root) as journal:
+            journal.append("submit", job=queued, sequence=1)
+            journal.append("submit", job=finished, sequence=2)
+            journal.append_state(finished["job_id"], "done", stats={"shards_done": 1})
+            journal.append_submit(valid, 3)
+
+        scheduler = Scheduler(root, workers=1)
+        try:
+            job = scheduler.status(queued["job_id"])["job"]
+            assert job["state"] == "failed"
+            assert "executor_workers" in job["error"]
+            assert job["label"] == "tridiag x DD @ 1e-08"
+            assert scheduler.status(finished["job_id"])["job"]["state"] == "done"
+            assert scheduler.status(valid.job_id)["job"]["state"] == "queued"
+        finally:
+            scheduler.stop(drain=False)
+
+        assert main(["status", "--state-dir", str(root)]) == 0
+        listing = capsys.readouterr().out
+        for job_id, state in ((queued["job_id"], "failed"),
+                              (finished["job_id"], "done"),
+                              (valid.job_id, "queued")):
+            [row] = [line for line in listing.splitlines() if job_id in line]
+            assert state in row
+
     def test_recovery_finalizes_fully_journaled_job_without_workers(
         self, data_env
     ):
