@@ -7,7 +7,10 @@ equivalents live in tests/test_service.py and tests/test_service_cli.py):
 1. start a real ``mixpbench serve`` daemon on a fresh state directory;
 2. submit the same grid from two tenants and attach to both;
 3. require the second job's ledger stats to show shared-cache hits —
-   the cross-tenant dedupe the service exists for;
+   the cross-tenant dedupe the service exists for — and none of its
+   shards to have staged a batched execution: under the daemon's
+   serial executor no second worker could overlap one, and the replay
+   demands none;
 4. run the same grid directly through ``mixpbench grid`` and require
    both tenants' results to be byte-identical to it, telemetry aside;
 5. stop the daemon through its stop file and require a clean exit.
@@ -45,6 +48,20 @@ def stripped_results(path: Path) -> list[dict]:
         if payload.get("outcome"):
             payload["outcome"]["metadata"].pop("eval_stats", None)
     return payloads
+
+
+def staging_shards(path: Path) -> list[str]:
+    """The shards of a saved job whose eval_stats show staged (batched)
+    executions."""
+    found = []
+    for payload in json.loads(path.read_text()):
+        outcome = payload.get("outcome")
+        if not outcome:
+            continue
+        staged = outcome["metadata"]["eval_stats"]["prefetched_executions"]
+        if staged:
+            found.append(f"{outcome['program']} {outcome['strategy']} ({staged} staged)")
+    return found
 
 
 def submit(state_dir: Path, axes: list[str], tenant: str) -> str:
@@ -108,6 +125,12 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         print(f"      {bob_job}: {hits} shared-cache hit(s), "
               f"{status['stats'].get('fresh_evaluations', 0)} fresh evaluation(s)")
+        staged = staging_shards(saved["bob"][1])
+        if staged:
+            print("FAIL: the second tenant's replay staged executions "
+                  f"the serial executor cannot overlap: {', '.join(staged)}",
+                  file=sys.stderr)
+            return 1
 
         print("[4/5] diff both tenants against a direct `mixpbench grid`")
         subprocess.run(cli(

@@ -69,7 +69,7 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -653,10 +653,12 @@ def make_executor(
     executor's :class:`FaultPolicy`; the defaults leave fault handling
     off, preserving the exact legacy execution paths.
     """
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be at least 0, got {max_retries!r}")
     key = (name or "serial").strip().lower()
     policy = FaultPolicy(
         trial_timeout=trial_timeout,
-        max_retries=max(0, int(max_retries)),
+        max_retries=max_retries,
         backoff_base=backoff_base,
     )
     if key == "serial":

@@ -26,7 +26,9 @@ Two further layers sit on top of the serial contract:
   :class:`~repro.core.batch.BatchExecutor`; the bookkeeping (trial
   index, budget, quality check) is then replayed serially, so
   :meth:`evaluate_many` produces a trial log bit-identical to calling
-  :meth:`evaluate` in a loop.
+  :meth:`evaluate` in a loop.  Batches run only on an executor with
+  two or more workers; with fewer, nothing could overlap, and every
+  configuration executes in-line when the search reaches it.
 * **Persistence** — with an
   :class:`~repro.runtime.cache.EvaluationCache` attached, every fresh
   evaluation is written to disk and replayed on later runs.  A replay
@@ -386,9 +388,23 @@ class ConfigurationEvaluator:
         untouched.  A no-op without an executor, and under wall-clock
         timing (concurrent wall timings would not be comparable).
 
+        Also a no-op on an executor with fewer than two workers: the
+        batch would run while the search waits, so nothing overlaps,
+        and a staged configuration the search never reaches (a sibling
+        made moot, the tail of a capped generation) would be pure
+        waste.  In-line, each configuration executes only once the
+        search reaches it.  The requested ``workers`` decides, not a
+        CPU-capped pool size, so the rule and the counters it moves
+        are the same on every host (a pool that a one-CPU host caps
+        at one process still stages, without overlap).
+
         Returns the number of executions fanned out.
         """
-        if self.executor is None or self.timing is not TimingMode.MODELED:
+        if (
+            self.executor is None
+            or self.executor.workers < 2
+            or self.timing is not TimingMode.MODELED
+        ):
             return 0
         pending: list[PrecisionConfig] = []
         seen: set[PrecisionConfig] = set()

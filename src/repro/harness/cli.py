@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from repro.benchmarks.base import (
     application_benchmarks, get_benchmark, kernel_benchmarks,
@@ -27,7 +28,7 @@ from repro.benchmarks.base import (
 from repro.core.batch import EXECUTOR_NAMES
 from repro.core.evaluator import DEFAULT_TIME_LIMIT, ConfigurationEvaluator
 from repro.errors import MixPBenchError
-from repro.harness.options import OptionError, SearchOptions, build_evaluator
+from repro.harness.options import OptionError, SearchOptions, as_count, build_evaluator
 from repro.harness.reporting import (
     format_eval_stats, format_prune_stats, format_quality,
     format_screen_stats, format_shadow_stats, format_speedup, format_table,
@@ -121,6 +122,20 @@ def search_options(args: argparse.Namespace) -> SearchOptions:
         raise MixPBenchError(
             f"argument {_OPTION_FLAGS[error.name]}: {error.requirement}, got {value!r}"
         ) from None
+
+
+def _count_arg(minimum: int) -> Callable[[str], int]:
+    """argparse ``type`` of an integer flag of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        try:
+            return as_count(value, minimum)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(f"{error}, got {value}") from None
+    return parse
 
 
 def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
@@ -251,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     grid.add_argument("--thresholds", nargs="+", type=float, required=True)
     grid.add_argument(
-        "--grid-workers", type=int, default=1,
+        "--grid-workers", type=_count_arg(1), default=1,
         help="inter-job parallelism (jobs run concurrently on threads)",
     )
     grid.add_argument("--max-evaluations", type=int, default=None)
@@ -319,15 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_state_dir(serve)
     serve.add_argument(
-        "--service-workers", type=int, default=2, metavar="N",
+        "--service-workers", type=_count_arg(1), default=2, metavar="N",
         help="worker threads draining the shard queue (default: 2)",
     )
     serve.add_argument(
-        "--quota", type=int, default=8, metavar="N",
+        "--quota", type=_count_arg(1), default=8, metavar="N",
         help="per-tenant ceiling on active (queued+running) jobs (default: 8)",
     )
     serve.add_argument(
-        "--shard-retries", type=int, default=2, metavar="N",
+        "--shard-retries", type=_count_arg(0), default=2, metavar="N",
         help="redispatch a crashed shard up to N times (default: 2)",
     )
     serve.add_argument(

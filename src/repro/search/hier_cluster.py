@@ -21,10 +21,8 @@ Registered as ``HRC`` / ``hierarchical-clustered``.
 
 from __future__ import annotations
 
-from repro.core.evaluator import ConfigurationEvaluator
-from repro.core.types import PrecisionConfig
 from repro.core.variables import Granularity, SearchSpace
-from repro.search.base import SearchStrategy
+from repro.search.hierarchical import HierarchicalSearch
 from repro.search.hierarchy import HierarchyNode, order_children
 
 __all__ = ["ClusterHierarchicalSearch", "build_cluster_hierarchy"]
@@ -93,62 +91,11 @@ def build_cluster_hierarchy(space: SearchSpace, order=None) -> HierarchyNode:
     return root
 
 
-class ClusterHierarchicalSearch(SearchStrategy):
+class ClusterHierarchicalSearch(HierarchicalSearch):
     """HR's structural descent, at cluster granularity."""
 
     strategy_name = "hierarchical-clustered"
     granularity = Granularity.CLUSTER
 
-    def __init__(self, max_passes: int = 4) -> None:
-        self.max_passes = max_passes
-
-    def describe(self) -> dict:
-        info = super().describe()
-        info["max_passes"] = self.max_passes
-        return info
-
-    def _search(self, evaluator: ConfigurationEvaluator) -> PrecisionConfig | None:
-        space = self.space(evaluator)
-        root = build_cluster_hierarchy(
-            space, order=getattr(evaluator, "location_order", None)
-        )
-        converted: set[str] = set()
-
-        def try_group(group: frozenset[str]) -> bool:
-            candidate = converted | group
-            trial = evaluator.evaluate(self._lower(space, sorted(candidate)))
-            return trial.passed
-
-        def prefetch_children(node: HierarchyNode) -> None:
-            # Same speculative sibling batch as HR (see hierarchical.py):
-            # staged executions are consumed by the serial walk, so the
-            # trial log is identical to the unbatched descent.
-            if len(node.children) < 2:
-                return
-            evaluator.prefetch(
-                self._lower(space, sorted(converted | pending))
-                for child in node.children
-                if (pending := child.variables - converted)
-            )
-
-        def visit(node: HierarchyNode) -> None:
-            pending = node.variables - converted
-            if not pending:
-                return
-            if try_group(pending):
-                converted.update(pending)
-                return
-            prefetch_children(node)
-            for child in node.children:
-                visit(child)
-
-        for _ in range(self.max_passes):
-            before = len(converted)
-            visit(root)
-            if len(converted) == before:
-                break
-
-        if not converted:
-            return None
-        final = evaluator.evaluate(self._lower(space, sorted(converted)))
-        return final.config if final.passed else None
+    def _hierarchy(self, space: SearchSpace, order) -> HierarchyNode:
+        return build_cluster_hierarchy(space, order=order)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.types import PrecisionConfig
-from repro.core.variables import Granularity
+from repro.core.variables import Granularity, SearchSpace
 from repro.search.base import SearchStrategy
 from repro.search.hierarchy import HierarchyNode, build_hierarchy
 
@@ -42,9 +42,13 @@ class HierarchicalSearch(SearchStrategy):
         info["max_passes"] = self.max_passes
         return info
 
+    def _hierarchy(self, space: SearchSpace, order) -> HierarchyNode:
+        """The structural tree the descent walks (variables here)."""
+        return build_hierarchy(space, order=order)
+
     def _search(self, evaluator: ConfigurationEvaluator) -> PrecisionConfig | None:
         space = self.space(evaluator)
-        root = build_hierarchy(space, order=getattr(evaluator, "location_order", None))
+        root = self._hierarchy(space, getattr(evaluator, "location_order", None))
         converted: set[str] = set()
 
         def try_group(group: frozenset[str]) -> bool:
@@ -59,6 +63,8 @@ class HierarchicalSearch(SearchStrategy):
             # speculation for the ones after it — their staged results
             # simply go unused; trial order and accounting are
             # untouched because only the serial walk records trials.
+            # The evaluator stages nothing when no second worker could
+            # overlap the batch with the walk.
             if len(node.children) < 2:
                 return
             evaluator.prefetch(

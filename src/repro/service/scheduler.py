@@ -40,6 +40,7 @@ from typing import Callable
 from repro.core.batch import WorkStealingQueue
 from repro.core.checkpoint import JournalError, RunJournal, job_key, load_run_state
 from repro.errors import MixPBenchError
+from repro.harness.options import as_count
 from repro.harness.scheduler import JobResult, SearchJob, run_shard
 from repro.runtime.cache import EvaluationCache
 from repro.service.queue import ServiceJournal, state_paths
@@ -134,12 +135,20 @@ class Scheduler:
         shard_retries: int = 2,
         hooks: SchedulerHooks | None = None,
     ) -> None:
+        for name, value, minimum in (
+            ("workers", workers, 1), ("quota", quota, 1),
+            ("shard_retries", shard_retries, 0),
+        ):
+            try:
+                as_count(value, minimum)
+            except ValueError as error:
+                raise ValueError(f"{name} {error}, got {value!r}") from None
         self.paths = state_paths(state_dir)
         for name in ("root", "cache", "runs", "jobs", "spool"):
             self.paths[name].mkdir(parents=True, exist_ok=True)
-        self.workers = max(1, int(workers))
-        self.quota = max(1, int(quota))
-        self.shard_retries = max(0, int(shard_retries))
+        self.workers = workers
+        self.quota = quota
+        self.shard_retries = shard_retries
         self.hooks = hooks if hooks is not None else SchedulerHooks()
         self.cache = EvaluationCache(self.paths["cache"])
 

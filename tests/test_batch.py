@@ -91,6 +91,10 @@ class TestExecutors:
         with pytest.raises(ValueError):
             make_executor("gpu")
 
+    def test_make_executor_refuses_negative_retries(self):
+        with pytest.raises(ValueError, match="max_retries must be at least 0, got -1"):
+            make_executor("serial", max_retries=-1)
+
     def test_runtime_error_becomes_failure_marker(self):
         class ExplodingProgram(ToyProgram):
             def execute(self, config):
@@ -167,13 +171,70 @@ class TestPrefetchReplay:
             assert evaluator.analysis_seconds > 0
         assert logs[0] == logs[1]
 
-    @pytest.mark.parametrize("algorithm", ["CB", "GA", "HR", "HC"])
+    @pytest.mark.parametrize("algorithm", ["CB", "GA", "HR", "HRC", "HC"])
     def test_strategy_trial_logs_identical_across_executors(self, algorithm):
         _, serial_eval, serial_outcome = run_strategy(algorithm)
         with ThreadExecutor(4) as executor:
             _, batch_eval, batch_outcome = run_strategy(algorithm, executor)
         assert trial_log(serial_eval) == trial_log(batch_eval)
         assert outcome_payload(serial_outcome) == outcome_payload(batch_outcome)
+
+
+class TestPrefetchGate:
+    """Batches stage executions only where a second worker can overlap
+    them with the serial walk; otherwise every configuration executes
+    in-line when the search reaches it."""
+
+    @pytest.mark.parametrize("algorithm", ["CB", "GA", "HR", "HRC"])
+    @pytest.mark.parametrize("make", [SerialExecutor, lambda: ThreadExecutor(1)])
+    def test_nothing_staged_without_a_second_worker(self, algorithm, make):
+        with make() as executor:
+            program, evaluator, outcome = run_strategy(algorithm, executor)
+        assert evaluator.stats.prefetched_executions == 0
+        assert evaluator.stats.batches == 0
+        assert evaluator._staged == {}
+        # every execution is the baseline or a trial the search demanded
+        stats = evaluator.stats
+        assert program.executions == 1 + stats.fresh_evaluations - stats.compile_errors
+        assert outcome_payload(outcome) == outcome_payload(run_strategy(algorithm)[2])
+
+    @pytest.mark.parametrize("algorithm", ["GA", "HR", "HRC"])
+    def test_two_workers_still_stage(self, algorithm):
+        with ThreadExecutor(2) as executor:
+            _, evaluator, _ = run_strategy(algorithm, executor)
+        assert evaluator.stats.prefetched_executions > 0
+
+    def test_requested_workers_decide_not_the_pool_size(self, monkeypatch):
+        # a one-CPU host caps the process pool at one process; the
+        # requested two workers still stage
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        program = ToyProgram(n_clusters=4)
+        with ProcessExecutor(2) as executor:
+            evaluator = ConfigurationEvaluator(
+                program, measurement_noise=0.0, executor=executor,
+            )
+            space = evaluator.space()
+            configs = [space.lower(loc) for loc in space.locations()]
+            assert evaluator.prefetch(configs) == len(configs)
+
+    @pytest.mark.parametrize("algorithm,first", [("HRC", 133), ("HR", 62)])
+    def test_warm_cache_replay_executes_nothing(
+        self, tmp_path, executions, algorithm, first,
+    ):
+        from repro.core.types import PrecisionConfig
+        from repro.harness.scheduler import SearchJob, run_shard
+        from repro.runtime.cache import EvaluationCache
+
+        cache = EvaluationCache(tmp_path / "cache")
+        job = SearchJob("blackscholes", algorithm, 1e-6)
+        payloads = []
+        for expected in (first, 0):
+            executions.clear()
+            result = run_shard(job, cache=cache)
+            trials = [d for d in executions if d != PrecisionConfig().digest()]
+            assert len(trials) == expected
+            payloads.append(outcome_payload(result.outcome))
+        assert payloads[0] == payloads[1]
 
 
 class TestEvalStats:

@@ -276,6 +276,40 @@ class TestScheduler:
         scheduler.submit(small_spec(), tenant="bob")  # separate budget
         scheduler.stop(drain=False)
 
+    @pytest.mark.parametrize("setting,value,message", [
+        ("workers", 0, "workers must be at least 1, got 0"),
+        ("quota", 0, "quota must be at least 1, got 0"),
+        ("shard_retries", -1, "shard_retries must be at least 0, got -1"),
+        ("workers", 1.5, "workers must be an integer, got 1.5"),
+    ])
+    def test_bad_setting_refused_not_clamped(self, tmp_path, setting, value, message):
+        with pytest.raises(ValueError, match=message):
+            Scheduler(tmp_path / "svc", **{setting: value})  # never started
+        assert not (tmp_path / "svc").exists()
+
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("serve", "--service-workers", "0", "must be at least 1, got 0"),
+        ("serve", "--quota", "0", "must be at least 1, got 0"),
+        ("serve", "--shard-retries", "-1", "must be at least 0, got -1"),
+        ("serve", "--quota", "two", "must be an integer, got 'two'"),
+        ("grid", "--grid-workers", "0", "must be at least 1, got 0"),
+        ("grid", "--grid-workers", "-2", "must be at least 1, got -2"),
+    ])
+    def test_cli_refuses_bad_flag_value(
+        self, tmp_path, capsys, command, flag, value, message,
+    ):
+        # parse only: a flag that slipped through must not start a daemon
+        from repro.harness.cli import build_parser
+
+        where = ["--state-dir", str(tmp_path / "svc")] if command == "serve" else [
+            "--programs", "eos", "--algorithms", "DD", "--thresholds", "1e-8",
+            "--output-dir", str(tmp_path / "svc"),
+        ]
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, *where, flag, value])
+        assert exit_info.value.code == 2
+        assert f"error: argument {flag}: {message}" in capsys.readouterr().err
+
     def test_submit_while_draining_rejected(self, tmp_path):
         scheduler = Scheduler(tmp_path / "svc")
         scheduler.drain()
