@@ -8,7 +8,8 @@ script shows the full path for a user code:
 1. write the compute kernel in the constrained MPB style (here: a
    damped Jacobi smoother, defined inline);
 2. run the Typeforge analysis on its source to get variables/clusters;
-3. wrap it in a tiny Program adapter;
+3. wrap it in a tiny Program adapter that draws the random inputs
+   once, so every configuration runs on the same data;
 4. tune it with any search strategy.
 
 Run with:  python examples/custom_benchmark.py
@@ -34,9 +35,9 @@ KERNEL_SOURCE = '''
 def smooth(ws, grid):
     grid[1:-1] = 0.25 * (grid[:-2] + grid[2:]) + 0.5 * grid[1:-1]
 
-def jacobi(ws, n, sweeps):
-    u = ws.array("u", init=0.1 * ws.rng.standard_normal(n))
-    rhs = ws.array("rhs", init=0.05 * ws.rng.standard_normal(n))
+def jacobi(ws, u, rhs, sweeps):
+    u = ws.array("u", init=u)
+    rhs = ws.array("rhs", init=rhs)
     omega = ws.scalar("omega", 0.8)
     for _ in range(sweeps):
         smooth(ws, u)
@@ -62,13 +63,19 @@ class JacobiProgram:
         self.report = analyze_sources(
             {"user_jacobi": KERNEL_SOURCE}, entry="jacobi", program=self.name,
         )
+        rng = np.random.default_rng(42)
+        self.inputs = {
+            "u": 0.1 * rng.standard_normal(50_000),
+            "rhs": 0.05 * rng.standard_normal(50_000),
+            "sweeps": 6,
+        }
 
     def search_space(self, granularity=Granularity.CLUSTER):
         return self.report.search_space(granularity)
 
     def execute(self, config) -> ExecutionResult:
-        ws = Workspace(config, name_map=self.report.name_map, seed=42)
-        output = _namespace["jacobi"](ws, n=50_000, sweeps=6)
+        ws = Workspace(config, name_map=self.report.name_map)
+        output = _namespace["jacobi"](ws, **self.inputs)
         return ExecutionResult(
             output=np.asarray(output.data, dtype=np.float64).copy(),
             profile=ws.profile,

@@ -82,14 +82,14 @@ def black_scholes(ws, sptprice, strike, rate, volatility, otime, otype):
     return price
 
 
-def run(ws, n):
+def run(ws, sptprice, strike, rate, volatility, otime, otype):
     """Price the whole portfolio and return the prices."""
-    sptprice = ws.array("sptprice", init=25.0 + 75.0 * ws.rng.random(n))
-    strike = ws.array("strike", init=20.0 + 80.0 * ws.rng.random(n))
-    rate = ws.array("rate", init=0.02 + 0.08 * ws.rng.random(n))
-    volatility = ws.array("volatility", init=0.1 + 0.4 * ws.rng.random(n))
-    otime = ws.array("otime", init=0.25 + 3.75 * ws.rng.random(n))
-    otype = ws.array("otype", init=(ws.rng.random(n) < 0.5).astype(np.float64))
+    sptprice = ws.array("sptprice", init=sptprice)
+    strike = ws.array("strike", init=strike)
+    rate = ws.array("rate", init=rate)
+    volatility = ws.array("volatility", init=volatility)
+    otime = ws.array("otime", init=otime)
+    otype = ws.array("otype", init=otype)
     prices = black_scholes(ws, sptprice, strike, rate, volatility, otime, otype)
     return prices
 
@@ -106,5 +106,13 @@ class Blackscholes(ApplicationBenchmark):
     nominal_seconds = 30.0
     compile_seconds = 20.0
 
-    def setup(self):
-        return {"n": 4_000}
+    def setup(self, n=4_000):
+        rng = np.random.default_rng(self.seed)
+        return {
+            "sptprice": 25.0 + 75.0 * rng.random(n),
+            "strike": 20.0 + 80.0 * rng.random(n),
+            "rate": 0.02 + 0.08 * rng.random(n),
+            "volatility": 0.1 + 0.4 * rng.random(n),
+            "otime": 0.25 + 3.75 * rng.random(n),
+            "otype": (rng.random(n) < 0.5).astype(np.float64),
+        }

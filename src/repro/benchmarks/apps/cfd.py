@@ -70,13 +70,13 @@ def time_step(ws, state_t, old_state, flux_t, sf_t):
     state_t[:] = old_state + 0.2 * sf_t * flux_t
 
 
-def run(ws, nel, iterations, neighbors, cfl_value):
+def run(ws, density, momx, momy, momz, energy, nel, iterations, neighbors, cfl_value):
     """Advance the solution and return the conserved variables."""
-    density = ws.array("density", init=1.0 + 0.1 * ws.rng.random(nel))
-    momx = ws.array("momx", init=0.1 * ws.rng.random(nel) - 0.05)
-    momy = ws.array("momy", init=0.1 * ws.rng.random(nel) - 0.05)
-    momz = ws.array("momz", init=0.1 * ws.rng.random(nel) - 0.05)
-    energy = ws.array("energy", init=2.5 + 0.1 * ws.rng.random(nel))
+    density = ws.array("density", init=density)
+    momx = ws.array("momx", init=momx)
+    momy = ws.array("momy", init=momy)
+    momz = ws.array("momz", init=momz)
+    energy = ws.array("energy", init=energy)
     old_density = ws.array("old_density", nel)
     old_momx = ws.array("old_momx", nel)
     old_momy = ws.array("old_momy", nel)
@@ -126,13 +126,18 @@ class Cfd(ApplicationBenchmark):
     nominal_seconds = 60.0
     compile_seconds = 25.0
 
-    def setup(self):
-        nel = 40_000
+    def setup(self, nel=40_000, iterations=3):
+        draws = np.random.default_rng(self.seed)
         rng = np.random.default_rng(self.seed + 4)
         neighbors = [
             rng.permutation(nel).astype(np.int32) for _ in range(4)
         ]
         return {
-            "nel": nel, "iterations": 3,
+            "density": 1.0 + 0.1 * draws.random(nel),
+            "momx": 0.1 * draws.random(nel) - 0.05,
+            "momy": 0.1 * draws.random(nel) - 0.05,
+            "momz": 0.1 * draws.random(nel) - 0.05,
+            "energy": 2.5 + 0.1 * draws.random(nel),
+            "nel": nel, "iterations": iterations,
             "neighbors": neighbors, "cfl_value": 0.4,
         }

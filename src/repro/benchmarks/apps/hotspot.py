@@ -49,7 +49,7 @@ def single_iteration(ws, t_in, t_out, p, amb, cap_1, rx_1, ry_1, rz_1):
     t_out[:, -1] = t_in[:, -1]
 
 
-def run(ws, rows, cols, iterations, amb_literal):
+def run(ws, temp, power, rows, cols, iterations, amb_literal):
     """Simulate heat dissipation and return the final temperatures.
 
     ``amb_literal`` carries the ambient coupling constant with the
@@ -72,8 +72,8 @@ def run(ws, rows, cols, iterations, amb_literal):
     rz = ws.scalar("rz", t_chip * 1.6 / (grid_height * grid_width))
     step = ws.scalar("step", 0.025)
 
-    temp = ws.array("temp", init=0.004 + 0.002 * ws.rng.random((rows, cols)))
-    power = ws.array("power", init=0.0001 * ws.rng.random((rows, cols)))
+    temp = ws.array("temp", init=temp)
+    power = ws.array("power", init=power)
     temp_out = ws.array("temp_out", init=temp)
 
     for _ in range(iterations):
@@ -96,9 +96,12 @@ class Hotspot(ApplicationBenchmark):
     nominal_seconds = 30.0
     compile_seconds = 20.0
 
-    def setup(self):
+    def setup(self, rows=448, cols=448, iterations=8):
+        rng = np.random.default_rng(self.seed)
         return {
-            "rows": 448, "cols": 448, "iterations": 8,
+            "temp": 0.004 + 0.002 * rng.random((rows, cols)),
+            "power": 0.0001 * rng.random((rows, cols)),
+            "rows": rows, "cols": cols, "iterations": iterations,
             "amb_literal": AMB_COUPLING,
         }
 

@@ -40,14 +40,10 @@ def cg_solve(ws, vals, b, x, r, p, ap, cols, row_start, max_iter):
     return x
 
 
-def run(ws, n, nnz_per_row, max_iter, cols, row_start):
-    """Build the system, run CG, return the solution vector."""
-    nnz = n * nnz_per_row
-    offdiag = 0.5 / nnz_per_row
-    raw = -offdiag * ws.rng.random(nnz)
-    raw[::nnz_per_row] = 4.0          # dominant diagonal (first in row)
-    vals = ws.array("vals", init=raw)
-    b = ws.array("b", init=200.0 * ws.rng.random(n))
+def run(ws, vals, b, n, max_iter, cols, row_start):
+    """Run CG on the system ``vals``/``b``, return the solution vector."""
+    vals = ws.array("vals", init=vals)
+    b = ws.array("b", init=b)
     x = ws.array("x", n)
     r = ws.array("r", n)
     p = ws.array("p", n)
@@ -69,8 +65,11 @@ class Hpccg(ApplicationBenchmark):
     nominal_seconds = 40.0
     compile_seconds = 20.0
 
-    def setup(self):
-        n, nnz_per_row = 16_384, 8
+    def setup(self, n=16_384, nnz_per_row=8, max_iter=12):
+        draws = np.random.default_rng(self.seed)
+        vals = -(0.5 / nnz_per_row) * draws.random(n * nnz_per_row)
+        vals[::nnz_per_row] = 4.0         # dominant diagonal (first in row)
+        b = 200.0 * draws.random(n)
         rng = np.random.default_rng(self.seed + 1)
         # Diagonal first, then random off-diagonal neighbours: the
         # pattern of a stencil matrix flattened to CSR.
@@ -82,9 +81,10 @@ class Hpccg(ApplicationBenchmark):
                 cols[i::nnz_per_row] = rng.integers(0, n, n, dtype=np.int32)
         row_start = np.arange(0, n * nnz_per_row, nnz_per_row, dtype=np.int32)
         return {
+            "vals": vals,
+            "b": b,
             "n": n,
-            "nnz_per_row": nnz_per_row,
-            "max_iter": 12,
+            "max_iter": max_iter,
             "cols": cols,
             "row_start": row_start,
         }

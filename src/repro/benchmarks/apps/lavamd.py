@@ -50,12 +50,12 @@ def advance(ws, pos, vel):
     pos[:] = pos + 0.001 * vel
 
 
-def run(ws, n, offsets, steps, alpha_value):
+def run(ws, px, py, pz, qv, n, offsets, steps, alpha_value):
     """Sweep all neighbour offsets, accumulate forces, relocate."""
-    px = ws.array("px", init=ws.rng.random(n))
-    py = ws.array("py", init=ws.rng.random(n))
-    pz = ws.array("pz", init=ws.rng.random(n))
-    qv = ws.array("qv", init=30.0 * ws.rng.random(n) - 15.0)
+    px = ws.array("px", init=px)
+    py = ws.array("py", init=py)
+    pz = ws.array("pz", init=pz)
+    qv = ws.array("qv", init=qv)
     fx = ws.array("fx", n)
     fy = ws.array("fy", n)
     fz = ws.array("fz", n)
@@ -98,7 +98,7 @@ class Lavamd(ApplicationBenchmark):
     nominal_seconds = 80.0
     compile_seconds = 20.0
 
-    def setup(self):
+    def setup(self, n=150_000, steps=2):
         # 13 half-shell neighbour offsets (Newton's third law covers
         # the other 13); the particle state (positions, charges,
         # forces, velocities + interaction scratch) totals ~20 MB in
@@ -110,4 +110,11 @@ class Lavamd(ApplicationBenchmark):
             (1, -1, 0), (1, 0, -1), (0, 1, -1),
             (1, 1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1),
         ]
-        return {"n": 150_000, "offsets": offsets, "steps": 2, "alpha_value": 0.5}
+        rng = np.random.default_rng(self.seed)
+        return {
+            "px": rng.random(n),
+            "py": rng.random(n),
+            "pz": rng.random(n),
+            "qv": 30.0 * rng.random(n) - 15.0,
+            "n": n, "offsets": offsets, "steps": steps, "alpha_value": 0.5,
+        }

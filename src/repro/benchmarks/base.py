@@ -33,7 +33,6 @@ from repro.runtime.machine import DEFAULT_MACHINE, MachineModel
 from repro.runtime.memory import Workspace
 from repro.runtime.mparray import unwrap
 from repro.runtime.profiler import Profile
-from repro.runtime.rngcache import RNGReplayCache
 from repro.typeforge import TypeforgeReport, analyze
 from repro.verify.quality import QualitySpec
 
@@ -111,9 +110,8 @@ class Benchmark(ABC):
         in: the concrete benchmark class, the input seed, and the data
         directory root (``MIXPBENCH_DATA``) that file-driven
         applications write their generated inputs under.  Executions
-        sharing a fingerprint share inputs and the recorded RNG draw
-        stream; changing any component gives a cold cache entry, never
-        a stale replay.
+        sharing a fingerprint share one set of inputs; changing any
+        component gives a cold cache entry, never stale inputs.
         """
         cls = type(self)
         return (
@@ -125,18 +123,15 @@ class Benchmark(ABC):
 
     def _shared_state(self) -> dict:
         """Per-process cache slot for this fingerprint (inputs, report,
-        shadow sensitivity report, all-double baseline, RNG replay
-        stream) shared across benchmark instances."""
+        shadow sensitivity report, all-double baseline) shared across
+        benchmark instances."""
         state = self._state
         if state is None:
             key = self.inputs_fingerprint()
             with _PROCESS_STATE_LOCK:
                 state = _PROCESS_STATE.get(key)
                 if state is None:
-                    state = _PROCESS_STATE[key] = {
-                        "rng": RNGReplayCache(),
-                        "lock": threading.RLock(),
-                    }
+                    state = _PROCESS_STATE[key] = {"lock": threading.RLock()}
             self._state = state
         return state
 
@@ -164,8 +159,12 @@ class Benchmark(ABC):
         """Generate the benchmark's inputs, deterministically.
 
         Returned mapping is passed to the entry function as keyword
-        arguments (after ``ws``).  May write input files for
-        applications that exercise the typed-I/O runtime API.
+        arguments (after ``ws``).  Random inputs are drawn here, from
+        ``np.random.default_rng(self.seed)``, never in the entry
+        function; problem sizes are keyword defaults, so
+        ``bench.setup(n=100)`` builds a smaller input set.  May write
+        input files for applications that exercise the typed-I/O
+        runtime API.
         """
 
     # -- derived machinery ----------------------------------------------------
@@ -196,11 +195,21 @@ class Benchmark(ABC):
         sizes, file paths) and a pure function of the inputs
         fingerprint, so fresh benchmark instances — one per trial in
         the harness's fresh-execution path — share a single generation
-        instead of re-rolling RNG state and rewriting input files.
+        instead of redrawing arrays and rewriting input files.  Every
+        array in it is read-only: an entry that writes into a shared
+        input raises ``ValueError`` instead of corrupting later trials.
         """
         if self._inputs is None:
-            self._inputs = self._shared("inputs", self.setup)
+            self._inputs = self._shared("inputs", self._read_only_setup)
         return self._inputs
+
+    def _read_only_setup(self) -> dict[str, Any]:
+        inputs = self.setup()
+        for value in inputs.values():
+            for item in value if isinstance(value, (list, tuple)) else (value,):
+                if isinstance(item, np.ndarray):
+                    item.flags.writeable = False
+        return inputs
 
     def data_dir(self) -> Path:
         """Directory for generated input files (the paper's benchmarks
@@ -228,12 +237,7 @@ class Benchmark(ABC):
         """Run under ``config``: same inputs, same seed, only the
         precision assignment differs between executions."""
         report = self._report if self._report is not None else self.report()
-        ws = Workspace(
-            config,
-            name_map=report.name_map,
-            seed=self.seed,
-            rng_cache=self._shared_state()["rng"],
-        )
+        ws = Workspace(config, name_map=report.name_map, seed=self.seed)
         raw = self.entry_point()(ws, **(inputs if inputs is not None else self.inputs()))
         output = collect_output(raw)
         return ExecutionResult(
@@ -304,7 +308,7 @@ class ApplicationBenchmark(Benchmark):
 
 
 #: per-process shared state: inputs fingerprint -> {"inputs", "report",
-#: "shadow", "baseline", "rng", "lock"}.  See
+#: "shadow", "baseline", "lock"}.  See
 #: :meth:`Benchmark.inputs_fingerprint` for the invalidation rule.
 _PROCESS_STATE: dict[tuple, dict] = {}
 _PROCESS_STATE_LOCK = threading.Lock()

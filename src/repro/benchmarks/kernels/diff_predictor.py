@@ -7,7 +7,7 @@ functions, so their base types are unified with the helpers'
 parameters into a single cluster: TV=5, TC=1 (paper Table II).
 """
 
-from __future__ import annotations
+import numpy as np
 
 from repro.benchmarks.base import KernelBenchmark, register_benchmark
 
@@ -23,11 +23,11 @@ def blend(ws, table):
     table[1:] = table[1:] + 0.25 * table[:-1]
 
 
-def kernel(ws, n, order):
+def kernel(ws, px, cx, ex, order):
     """Difference predictor over three state tables."""
-    px = ws.array("px", init=0.125 * ws.rng.standard_normal(n))
-    cx = ws.array("cx", init=0.125 * ws.rng.standard_normal(n))
-    ex = ws.array("ex", init=0.125 * ws.rng.standard_normal(n))
+    px = ws.array("px", init=px)
+    cx = ws.array("cx", init=cx)
+    ex = ws.array("ex", init=ex)
     for _ in range(order):
         forward_diff(ws, px)
         forward_diff(ws, cx)
@@ -49,5 +49,11 @@ class DiffPredictor(KernelBenchmark):
     entry = "kernel"
     nominal_seconds = 2.0
 
-    def setup(self):
-        return {"n": 400_000, "order": 4}
+    def setup(self, n=400_000, order=4):
+        rng = np.random.default_rng(self.seed)
+        return {
+            "px": 0.125 * rng.standard_normal(n),
+            "cx": 0.125 * rng.standard_normal(n),
+            "ex": 0.125 * rng.standard_normal(n),
+            "order": order,
+        }

@@ -31,11 +31,11 @@ def smooth(ws, part):
     part[1:-1] = 0.25 * (part[:-2] + part[2:]) + 0.5 * part[1:-1]
 
 
-def kernel(ws, n, steps):
+def kernel(ws, u, z, y, n, steps):
     """Equation-of-state update: x = f(u, z, y; q, r, t)."""
-    u = ws.array("u", init=ws.rng.standard_normal(n + 8))
-    z = ws.array("z", init=ws.rng.standard_normal(n))
-    y = ws.array("y", init=ws.rng.standard_normal(n))
+    u = ws.array("u", init=u)
+    z = ws.array("z", init=z)
+    y = ws.array("y", init=y)
     x = ws.array("x", n)
     coef = ws.array("coef", init=np.array([0.5, 0.25, 0.125]))
     normalize(ws, u)
@@ -64,5 +64,11 @@ class Eos(KernelBenchmark):
     entry = "kernel"
     nominal_seconds = 1.0
 
-    def setup(self):
-        return {"n": 2_000, "steps": 2}
+    def setup(self, n=2_000, steps=2):
+        rng = np.random.default_rng(self.seed)
+        return {
+            "u": rng.standard_normal(n + 8),
+            "z": rng.standard_normal(n),
+            "y": rng.standard_normal(n),
+            "n": n, "steps": steps,
+        }

@@ -24,10 +24,10 @@ def scale_field(ws, c):
     c[:] = c * 0.5
 
 
-def kernel(ws, n, steps):
+def kernel(ws, y, z, n, steps):
     """Hydrodynamics fragment sweep."""
-    y = ws.array("y", init=0.25 * ws.rng.standard_normal(n + 2))
-    z = ws.array("z", init=0.25 * ws.rng.standard_normal(n + 12))
+    y = ws.array("y", init=y)
+    z = ws.array("z", init=z)
     x = ws.array("x", n + 2)
     coef = ws.array("coef", init=np.array([0.0625, 0.21, 0.37]))
     scale_field(ws, z)
@@ -53,5 +53,10 @@ class Hydro1D(KernelBenchmark):
     entry = "kernel"
     nominal_seconds = 2.0
 
-    def setup(self):
-        return {"n": 60_000, "steps": 5}
+    def setup(self, n=60_000, steps=5):
+        rng = np.random.default_rng(self.seed)
+        return {
+            "y": 0.25 * rng.standard_normal(n + 2),
+            "z": 0.25 * rng.standard_normal(n + 12),
+            "n": n, "steps": steps,
+        }

@@ -5,14 +5,14 @@ reading from one buffer and writing the other, then swapping — so the
 two buffers form a single cluster: TV=2, TC=1 (paper Table II).
 """
 
-from __future__ import annotations
+import numpy as np
 
 from repro.benchmarks.base import KernelBenchmark, register_benchmark
 
 
-def kernel(ws, n, passes):
+def kernel(ws, x, n, passes):
     """ICCG reduction sweeps over a ping-pong vector pair."""
-    x = ws.array("x", init=0.125 * ws.rng.standard_normal(n))
+    x = ws.array("x", init=x)
     v = ws.array("v", n)
     for _ in range(passes):
         m = n
@@ -35,5 +35,6 @@ class Iccg(KernelBenchmark):
     entry = "kernel"
     nominal_seconds = 2.0
 
-    def setup(self):
-        return {"n": 131_072, "passes": 4}
+    def setup(self, n=131_072, passes=4):
+        rng = np.random.default_rng(self.seed)
+        return {"x": 0.125 * rng.standard_normal(n), "n": n, "passes": passes}

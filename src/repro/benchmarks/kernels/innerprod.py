@@ -18,10 +18,10 @@ import numpy as np
 from repro.benchmarks.base import KernelBenchmark, register_benchmark
 
 
-def kernel(ws, n, chunks, self_product):
+def kernel(ws, z, x, n, chunks, self_product):
     """Chunked inner product q = Σ x[k]·z[k]."""
-    z = ws.array("z", init=ws.rng.integers(-6, 7, n).astype(np.float64))
-    x = ws.array("x", init=ws.rng.integers(-6, 7, n).astype(np.float64))
+    z = ws.array("z", init=z)
+    x = ws.array("x", init=x)
     if self_product:
         x = z
     q = ws.scalar("q", 0.0)
@@ -42,5 +42,10 @@ class InnerProd(KernelBenchmark):
     entry = "kernel"
     nominal_seconds = 0.5
 
-    def setup(self):
-        return {"n": 8_192, "chunks": 32, "self_product": False}
+    def setup(self, n=8_192, chunks=32, self_product=False):
+        rng = np.random.default_rng(self.seed)
+        return {
+            "z": rng.integers(-6, 7, n).astype(np.float64),
+            "x": rng.integers(-6, 7, n).astype(np.float64),
+            "n": n, "chunks": chunks, "self_product": self_product,
+        }

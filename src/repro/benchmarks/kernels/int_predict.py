@@ -33,12 +33,12 @@ def apply_weights(ws, w):
     w[:] = w * 0.1
 
 
-def kernel(ws, n, steps):
+def kernel(ws, px, cx, ex, gx, steps):
     """Integrate predictor over four coupled state tables."""
-    px = ws.array("px", init=0.0078125 * ws.rng.standard_normal(n))
-    cx = ws.array("cx", init=0.0078125 * ws.rng.standard_normal(n))
-    ex = ws.array("ex", init=0.0078125 * ws.rng.standard_normal(n))
-    gx = ws.array("gx", init=0.0078125 * ws.rng.standard_normal(n))
+    px = ws.array("px", init=px)
+    cx = ws.array("cx", init=cx)
+    ex = ws.array("ex", init=ex)
+    gx = ws.array("gx", init=gx)
     wts = ws.array("wts", init=np.array([1.0, 2.0, 3.0, 4.0]))
     apply_weights(ws, wts)
     for _ in range(steps):
@@ -62,5 +62,12 @@ class IntPredict(KernelBenchmark):
     entry = "kernel"
     nominal_seconds = 2.0
 
-    def setup(self):
-        return {"n": 50_000, "steps": 3}
+    def setup(self, n=50_000, steps=3):
+        rng = np.random.default_rng(self.seed)
+        return {
+            "px": 0.0078125 * rng.standard_normal(n),
+            "cx": 0.0078125 * rng.standard_normal(n),
+            "ex": 0.0078125 * rng.standard_normal(n),
+            "gx": 0.0078125 * rng.standard_normal(n),
+            "steps": steps,
+        }

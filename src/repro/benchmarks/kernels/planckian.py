@@ -24,11 +24,11 @@ def radiate(ws, field):
     field[:] = field * 0.5
 
 
-def kernel(ws, n, steps):
+def kernel(ws, u, v, x, n, steps):
     """Planckian distribution evaluation."""
-    u = ws.array("u", init=2.0 + ws.rng.random(n))
-    v = ws.array("v", init=1.0 + ws.rng.random(n))
-    x = ws.array("x", init=2.0 + 2.0 * ws.rng.random(n))
+    u = ws.array("u", init=u)
+    v = ws.array("v", init=v)
+    x = ws.array("x", init=x)
     w = ws.array("w", n)
     expmax = ws.scalar("expmax", 20.0)
     radiate(ws, u)
@@ -51,5 +51,11 @@ class Planckian(KernelBenchmark):
     entry = "kernel"
     nominal_seconds = 1.0
 
-    def setup(self):
-        return {"n": 20_000, "steps": 2}
+    def setup(self, n=20_000, steps=2):
+        rng = np.random.default_rng(self.seed)
+        return {
+            "u": 2.0 + rng.random(n),
+            "v": 1.0 + rng.random(n),
+            "x": 2.0 + 2.0 * rng.random(n),
+            "n": n, "steps": steps,
+        }

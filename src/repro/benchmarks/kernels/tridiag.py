@@ -9,7 +9,7 @@ Dyadic inputs keep the elimination exact in single precision (quality
 speedup (SU ≈ 1.0).
 """
 
-from __future__ import annotations
+import numpy as np
 
 from repro.benchmarks.base import KernelBenchmark, register_benchmark
 
@@ -19,9 +19,9 @@ def sweep(ws, vec):
     vec[1:] = vec[1:] - 0.5 * vec[:-1]
 
 
-def kernel(ws, n, passes):
+def kernel(ws, y, n, passes):
     """Tridiagonal solve: forward elimination + back substitution."""
-    y = ws.array("y", init=ws.rng.integers(-8, 9, n) / 16.0)
+    y = ws.array("y", init=y)
     x = ws.array("x", n)
     for _ in range(passes):
         sweep(ws, y)
@@ -40,5 +40,6 @@ class Tridiag(KernelBenchmark):
     entry = "kernel"
     nominal_seconds = 0.5
 
-    def setup(self):
-        return {"n": 2_048, "passes": 2}
+    def setup(self, n=2_048, passes=2):
+        rng = np.random.default_rng(self.seed)
+        return {"y": rng.integers(-8, 9, n) / 16.0, "n": n, "passes": passes}

@@ -21,6 +21,7 @@ live array footprint that drives the machine model's cache tiering.
 from __future__ import annotations
 
 import sys
+from functools import cached_property
 from typing import Any, Mapping
 
 import numpy as np
@@ -37,7 +38,6 @@ from repro.runtime.quantize import (
     quantize_scalar,
     spec_for,
 )
-from repro.runtime.rngcache import ReplayGenerator, RNGReplayCache
 
 __all__ = ["Workspace"]
 
@@ -60,17 +60,12 @@ class Workspace:
         configurations.  Produced by the Typeforge scan; when absent,
         bare names are used directly.
     seed:
-        Seed for the workspace RNG used by benchmarks to generate
-        reproducible random inputs.
+        Seed of stochastic rounding (emulated ``sr`` formats) and of
+        :attr:`rng`.
     strict:
         When true, looking up a variable that the name map does not
         know raises :class:`UnknownVariableError`; when false the bare
         name is used as the uid (handy for ad-hoc experimentation).
-    rng_cache:
-        Optional :class:`~repro.runtime.rngcache.RNGReplayCache`.  When
-        provided, ``ws.rng`` replays the recorded deterministic draw
-        stream instead of regenerating it — the same values, paid once
-        per process instead of once per trial.
     """
 
     def __init__(
@@ -79,7 +74,6 @@ class Workspace:
         name_map: Mapping[str, str] | None = None,
         seed: int = 0,
         strict: bool = False,
-        rng_cache: RNGReplayCache | None = None,
     ) -> None:
         self.config = config if config is not None else PrecisionConfig()
         # Kept by reference, not copied: one workspace is built per
@@ -88,10 +82,6 @@ class Workspace:
         # measurable on the small kernels.
         self._name_map: Mapping[str, str] = name_map if name_map is not None else {}
         self.profile = Profile()
-        if rng_cache is not None:
-            self.rng: Any = ReplayGenerator(seed, rng_cache)
-        else:
-            self.rng = np.random.default_rng(seed)
         self._arrays: dict[str, MPArray] = {}
         self._strict = strict
         self._dtypes: dict[str, np.dtype] = {}
@@ -105,6 +95,14 @@ class Workspace:
         #: modeled (emulated-width) nbytes per live array, kept only for
         #: arrays whose modeled width differs from storage
         self._modeled: dict[str, int] = {}
+
+    @cached_property
+    def rng(self) -> np.random.Generator:
+        """A generator seeded with ``seed``, built on first use: a
+        convenience for ad-hoc programs.  Suite benchmarks draw their
+        inputs in ``setup()`` instead, so their trials never build one.
+        """
+        return np.random.default_rng(self._seed)
 
     # -- name resolution ---------------------------------------------------
     def resolve(self, name: str) -> str:
@@ -161,8 +159,8 @@ class Workspace:
             # allocates once, not twice).  The refcount thresholds are
             # exact for a direct ``ws.array(..., init=<expression>)``
             # call; anything bound to a name, viewing other storage,
-            # read-only (the RNG replay and mp_fread caches), or held
-            # by a debugger scores higher and takes the copy, so a
+            # read-only (shared benchmark inputs, the mp_fread cache) or
+            # held by a debugger scores higher and takes the copy, so a
             # missed elision is only ever a missed optimisation.
             global _ELISIONS
             if type(init) is MPArray:

@@ -285,8 +285,8 @@ def run_shadow_analysis(
     """Execute ``benchmark`` once in shadow mode and attribute error.
 
     The fp64 reference path of the run is bit-identical to a normal
-    instrumented execution (same inputs, same seed, same RNG replay
-    stream); only the bookkeeping differs.
+    instrumented execution (same inputs, same seed); only the
+    bookkeeping differs.
 
     ``replicas`` appends extra shadow precisions — typically emulated
     formats such as ``e8m10`` (see docs/precision-formats.md) — to the
@@ -304,7 +304,6 @@ def run_shadow_analysis(
         PrecisionConfig(),
         name_map=report.name_map,
         seed=benchmark.seed,
-        rng_cache=benchmark._shared_state()["rng"],
         shadow_context=ctx,
     )
     raw = benchmark.entry_point()(ws, **benchmark.inputs())

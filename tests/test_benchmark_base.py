@@ -20,6 +20,7 @@ from repro.benchmarks.base import (
 from repro.core.types import PrecisionConfig
 from repro.errors import BenchmarkNotFound
 from repro.runtime.machine import MACHINE_PRESETS
+from repro.runtime.memory import Workspace
 from repro.runtime.mparray import MPArray
 from repro.runtime.profiler import Profile
 
@@ -147,7 +148,7 @@ class TestBenchmarkMechanics:
     def test_execute_with_custom_inputs(self):
         from repro.core.types import PrecisionConfig
         bench = get_benchmark("hydro-1d")
-        small = bench.execute(PrecisionConfig(), inputs={"n": 1_000, "steps": 1})
+        small = bench.execute(PrecisionConfig(), inputs=bench.setup(n=1_000, steps=1))
         assert small.output.shape[0] == 1_002
 
 
@@ -185,6 +186,56 @@ class TestBaselineMemo:
         bench = get_benchmark("lavamd", machine=MACHINE_PRESETS[machine])
         fresh = bench.execute(PrecisionConfig())
         assert bench.baseline().modeled_seconds == fresh.modeled_seconds
+
+
+class TestInputsAreData:
+    """Random inputs are drawn in ``setup()``; entries only read them."""
+
+    @pytest.mark.parametrize("name", available_benchmarks())
+    def test_entry_draws_nothing(self, name, data_env):
+        bench = get_benchmark(name)
+        ws = Workspace(name_map=bench.report().name_map, seed=bench.seed)
+        with np.errstate(all="ignore"):
+            bench.entry_point()(ws, **bench.inputs())
+        assert "rng" not in vars(ws)
+
+    def test_shared_input_arrays_are_read_only(self, data_env):
+        for name in available_benchmarks():
+            for value in get_benchmark(name).inputs().values():
+                for item in value if isinstance(value, (list, tuple)) else (value,):
+                    if isinstance(item, np.ndarray):
+                        assert not item.flags.writeable, name
+
+    def test_entry_writing_into_an_input_raises(self, data_env):
+        bench = _Scribbler()
+        with pytest.raises(ValueError, match="read-only"):
+            bench.entry_point()(Workspace(), **bench.inputs())
+        assert not bench.inputs()["x"].any()
+
+    @pytest.mark.parametrize("name, sizes, shapes", [
+        ("eos", {"n": 100}, {"u": (108,), "z": (100,), "y": (100,)}),
+        ("diff-predictor", {"n": 50}, {"px": (50,), "cx": (50,), "ex": (50,)}),
+        ("hotspot", {"rows": 8, "cols": 6}, {"temp": (8, 6), "power": (8, 6)}),
+        ("blackscholes", {"n": 64}, {"sptprice": (64,), "otype": (64,)}),
+        ("hpccg", {"n": 32, "nnz_per_row": 4}, {"vals": (128,), "b": (32,)}),
+        ("cfd", {"nel": 20}, {"density": (20,), "energy": (20,)}),
+    ])
+    def test_setup_sizes_follow_its_keywords(self, name, sizes, shapes):
+        inputs = get_benchmark(name).setup(**sizes)
+        assert {key: inputs[key].shape for key in shapes} == shapes
+
+
+def _scribble(ws, x):
+    x[0] = 1.0  # writes into the shared input instead of a ws.array copy
+
+
+class _Scribbler(Benchmark):
+    name = "scribbler"
+    module_name = __name__
+    entry = "_scribble"
+
+    def setup(self):
+        return {"x": np.zeros(4)}
 
 
 def _fill_inputs(name: str) -> None:

@@ -1,8 +1,8 @@
 """Bit-exactness: the fast recorder must be invisible.
 
 The fast-path runtime (signature-cached ufunc recording, dict-keyed
-profile counters, RNG replay, input caching, init-copy elision and
-dead-temporary buffer reuse) is a pure performance optimisation: every
+profile counters, input caching, init-copy elision and dead-temporary
+buffer reuse) is a pure performance optimisation: every
 benchmark must produce byte-identical outputs, identical profile
 summaries and identical modeled times whether it runs under the
 readable reference recorder or the fast path — cold *and* warm, so the
@@ -50,8 +50,8 @@ def exact_env(tmp_path_factory):
 @pytest.fixture(scope="module")
 def suite_runs(exact_env):
     """Lazily execute each (benchmark, config) once under the reference
-    recorder, then twice on the fast path (cold, then warm so the RNG
-    replay / input / recipe caches are all live)."""
+    recorder, then twice on the fast path (cold, then warm so the input
+    and recipe caches are live)."""
     cache: dict = {}
 
     def run(name: str, config: PrecisionConfig):

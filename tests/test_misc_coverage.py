@@ -62,7 +62,7 @@ class TestKernelInputScaling:
         from repro.benchmarks.base import get_benchmark
         from repro.core.types import PrecisionConfig
         bench = get_benchmark(name)
-        result = bench.execute(PrecisionConfig(), inputs=small_inputs)
+        result = bench.execute(PrecisionConfig(), inputs=bench.setup(**small_inputs))
         assert np.all(np.isfinite(result.output))
         assert result.modeled_seconds > 0
 

@@ -54,7 +54,6 @@ def _shadow_reference_output(bench, precisions=("single",)) -> np.ndarray:
         PrecisionConfig(),
         name_map=report.name_map,
         seed=bench.seed,
-        rng_cache=bench._shared_state()["rng"],
         shadow_context=ctx,
     )
     raw = bench.entry_point()(ws, **bench.inputs())
