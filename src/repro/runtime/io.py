@@ -45,32 +45,6 @@ def read_typed(path: str | Path, stored: Precision = Precision.DOUBLE, count: in
     return np.fromfile(path, dtype=stored.dtype, count=count)
 
 
-#: (path, stored, count, mtime_ns, size) -> file contents.  Benchmarks
-#: re-read the same generated input file every trial; the cache turns
-#: that into one read per process.  The stat fingerprint invalidates
-#: the entry the moment the file is rewritten.  Entries are never
-#: handed out for mutation: :func:`mp_fread` immediately copy-converts
-#: into the workspace array.
-_FREAD_CACHE: dict[tuple, np.ndarray] = {}
-_FREAD_CACHE_MAX = 32
-
-
-def _read_typed_cached(path: Path, stored: Precision, count: int) -> np.ndarray:
-    try:
-        stat = path.stat()
-    except OSError:
-        raise MixPBenchError(f"input file not found: {path}") from None
-    key = (str(path), stored.value, count, stat.st_mtime_ns, stat.st_size)
-    cached = _FREAD_CACHE.get(key)
-    if cached is None:
-        if len(_FREAD_CACHE) >= _FREAD_CACHE_MAX:
-            _FREAD_CACHE.pop(next(iter(_FREAD_CACHE)))
-        cached = read_typed(path, stored=stored, count=count)
-        cached.flags.writeable = False  # shared across trials
-        _FREAD_CACHE[key] = cached
-    return cached
-
-
 def mp_fread(
     ws: Workspace,
     name: str,
@@ -84,10 +58,8 @@ def mp_fread(
     The file holds ``stored``-precision elements; the returned array
     uses whatever precision the active configuration assigns to
     ``name`` (the conversion the paper's ``mp_fread`` performs).
-    Repeated reads of an unchanged file are served from a per-process
-    cache; the recorded I/O traffic is identical either way.
     """
-    raw = _read_typed_cached(Path(path), stored, count)
+    raw = read_typed(path, stored=stored, count=count)
     if shape is not None:
         raw = raw.reshape(shape)
     ws.profile.record_io(float(raw.nbytes))

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.types import CustomFormat, Precision, PrecisionConfig
 from repro.errors import MixPBenchError, UnknownVariableError
-from repro.runtime import mparray as _mparray
 from repro.runtime.mparray import MPArray, QuantizedMPArray, unwrap
 from repro.runtime.profiler import Profile
 from repro.runtime.quantize import (
@@ -44,6 +43,15 @@ __all__ = ["Workspace"]
 #: diagnostic counter: number of init-copy elisions performed (see
 #: :meth:`Workspace.array`); read by tests, never reset automatically.
 _ELISIONS = 0
+
+#: refcounts a provably-dead ``init`` shows at the elision test in
+#: :meth:`Workspace.array` for a direct ``ws.array(..., init=<expr>)``
+#: call: the initialiser itself (an ``MPArray`` or ``ndarray``) and an
+#: ``MPArray`` initialiser's buffer.  Fixed for CPython's calling
+#: convention, not calibrated; -9 (the operators' fail-closed sentinel)
+#: matches nothing and so turns the elision off.
+_T_INIT = 2
+_T_INIT_DATA = 3
 
 
 class Workspace:
@@ -159,19 +167,18 @@ class Workspace:
             # allocates once, not twice).  The refcount thresholds are
             # exact for a direct ``ws.array(..., init=<expression>)``
             # call; anything bound to a name, viewing other storage,
-            # read-only (shared benchmark inputs, the mp_fread cache) or
-            # held by a debugger scores higher and takes the copy, so a
-            # missed elision is only ever a missed optimisation.
+            # read-only (shared benchmark inputs) or held by a debugger
+            # scores higher and takes the copy, so a missed elision is
+            # only ever a missed optimisation.
             global _ELISIONS
             if type(init) is MPArray:
                 source = init._data
                 if (
-                    _mparray._FAST_MODE
-                    and source.dtype == dtype
+                    source.dtype == dtype
                     and source.base is None
                     and source.flags.writeable
-                    and sys.getrefcount(init) == 2
-                    and sys.getrefcount(source) == 3
+                    and sys.getrefcount(init) == _T_INIT
+                    and sys.getrefcount(source) == _T_INIT_DATA
                 ):
                     data = source
                     _ELISIONS += 1
@@ -179,11 +186,10 @@ class Workspace:
                     data = source.astype(dtype)
             elif type(init) is np.ndarray:
                 if (
-                    _mparray._FAST_MODE
-                    and init.dtype == dtype
+                    init.dtype == dtype
                     and init.base is None
                     and init.flags.writeable
-                    and sys.getrefcount(init) == 2
+                    and sys.getrefcount(init) == _T_INIT
                 ):
                     data = init
                     _ELISIONS += 1

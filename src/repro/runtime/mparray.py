@@ -32,16 +32,15 @@ cached in a recipe table; per call only the data-dependent quantities
 (element counts, byte traffic) are gathered.  ``dtype.name`` string
 formatting, the other pre-optimisation hot spot, is cached per dtype.
 
-The pre-cache implementations are kept as the *reference recorder*;
-:func:`reference_recording` switches them in so the bit-exactness
-suite can prove both paths produce identical profiles and outputs.
+There is one recording path and no mode switch.  The readable,
+uncached reference recorder lives in the test suite
+(``tests/oracle.py``), which patches it in to prove that this path
+produces identical profiles and outputs.
 """
 
 from __future__ import annotations
 
-import contextlib
 import sys
-import threading
 from typing import Any, Callable
 
 import numpy as np
@@ -53,8 +52,7 @@ from repro.runtime.quantize import (
 )
 
 __all__ = [
-    "MPArray", "QuantizedMPArray", "unwrap", "wrap", "reference_recording",
-    "set_reference_mode", "DIRECT_OPERATOR_NAMES",
+    "MPArray", "QuantizedMPArray", "unwrap", "wrap", "DIRECT_OPERATOR_NAMES",
 ]
 
 _FLOAT64 = np.dtype(np.float64)
@@ -72,16 +70,17 @@ def _dtype_name(dtype: np.dtype) -> str:
         return name
 
 
-#: dtype -> interned (OpClass.MOVE, dtype name) bucket key for the
-#: copy/fill/astype/setitem bookkeeping paths
-_MOVE_KEYS: dict[np.dtype, tuple[OpClass, str]] = {}
+#: (op class, dtype) -> interned (op class, dtype name) bucket key for
+#: the paths that record without a signature recipe: basic-index
+#: stores and the ``__array_function__`` handlers
+_OP_KEYS: dict[tuple[OpClass, np.dtype], tuple[OpClass, str]] = {}
 
 
-def _move_key(dtype: np.dtype) -> tuple[OpClass, str]:
+def _op_key(opclass: OpClass, dtype: np.dtype) -> tuple[OpClass, str]:
     try:
-        return _MOVE_KEYS[dtype]
+        return _OP_KEYS[opclass, dtype]
     except KeyError:
-        key = _MOVE_KEYS[dtype] = (OpClass.MOVE, _dtype_name(dtype))
+        key = _OP_KEYS[opclass, dtype] = (opclass, _dtype_name(dtype))
         return key
 
 
@@ -95,32 +94,14 @@ _MODE_CALL, _MODE_REDUCE, _MODE_MATMUL, _MODE_OUTER, _MODE_AT = range(5)
 #: -1).  Benchmarks reuse a handful of signatures millions of times,
 #: so this table turns per-call classification into one dict probe.
 #:
-#: Concurrency: the hot-path *read* (``_RECIPES[key]``) is a single
-#: bytecode dict probe, atomic under the GIL, and recipes are pure
-#: functions of their key, so a racing double-build stores the same
-#: value — reads therefore stay lock-free.  *Writes* go through
-#: ``_remember_recipe`` below, which takes ``_RECIPES_LOCK`` so the
-#: eviction sweep (the table is shared by every thread-pool worker and
-#: would otherwise grow without bound across a long-lived service
-#: process) never interleaves with another writer's insert.
+#: Concurrency: a read (``_RECIPES[key]``) and a miss's store
+#: (``_RECIPES[key] = recipe``) are each a single dict operation, atomic
+#: under the GIL, and a recipe is a pure function of its key, so a
+#: racing double-build stores the same value; no lock is needed.  The
+#: key holds no shapes, so the table stays small: the whole suite at
+#: six precisions plus its shadow runs fills well under a hundred
+#: entries.
 _RECIPES: dict[tuple, tuple] = {}
-_RECIPES_LOCK = threading.Lock()
-#: size cap for the signature table; a full benchmark-suite sweep uses
-#: a few hundred signatures, so 4096 means eviction only ever triggers
-#: under adversarial dtype/shape churn.
-_RECIPES_MAX = 4096
-
-
-def _remember_recipe(key: tuple, recipe: tuple) -> None:
-    """Insert one recipe under the lock, evicting the oldest quarter of
-    the table first when it is full (insertion order ~ first use, so
-    evicted signatures are the longest-unrefreshed ones; any still in
-    live use are simply rebuilt on their next call)."""
-    with _RECIPES_LOCK:
-        if len(_RECIPES) >= _RECIPES_MAX:
-            for stale in list(_RECIPES)[: _RECIPES_MAX // 4]:
-                del _RECIPES[stale]
-        _RECIPES[key] = recipe
 
 
 def _build_ufunc_recipe(ufunc, method, result_dtype, input_dtypes):
@@ -163,39 +144,6 @@ def _build_ufunc_recipe(ufunc, method, result_dtype, input_dtypes):
         mode = _MODE_CALL
     first_array = array_slots[0][0] if array_slots else -1
     return (opclass, compute_dtype), cast_slots, mode, first_array
-
-
-#: True on the fast path.  Consulted by :meth:`Workspace.array` to gate
-#: the init-copy elision (reference mode always copies), so the
-#: bit-exactness suite also proves elision never aliases live data.
-_FAST_MODE = True
-
-
-def set_reference_mode(enabled: bool) -> None:
-    """Select the recording implementation: the readable, uncached
-    reference path (``True``) or the signature-cached fast path
-    (``False``, the default).  Both produce bit-identical profiles;
-    the bit-exactness suite exists to prove it."""
-    global _FAST_MODE
-    _FAST_MODE = not enabled
-    if enabled:
-        MPArray._record_ufunc = MPArray._record_ufunc_reference
-        MPArray.__getitem__ = MPArray._getitem_reference
-        MPArray.__setitem__ = MPArray._setitem_reference
-    else:
-        MPArray._record_ufunc = MPArray._record_ufunc_fast
-        MPArray.__getitem__ = MPArray._getitem_fast
-        MPArray.__setitem__ = MPArray._setitem_fast
-
-
-@contextlib.contextmanager
-def reference_recording():
-    """Run a block under the reference (uncached) recorder."""
-    set_reference_mode(True)
-    try:
-        yield
-    finally:
-        set_reference_mode(False)
 
 
 def unwrap(value: Any) -> Any:
@@ -314,7 +262,9 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if dtype is None:
-            return self._data
+            # ``np.array(x)`` asks for a copy; ``np.asarray(x)`` does not
+            # and stays zero-copy.
+            return self._data.copy() if copy else self._data
         return self._data.astype(dtype)
 
     # -- ufunc dispatch -------------------------------------------------------
@@ -387,9 +337,10 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
             return MPArray(result, self._profile)
         return wrap(result, self._profile)
 
-    def _record_ufunc_fast(self, ufunc, method: str, raw_inputs: tuple, result: Any) -> None:
-        """Signature-cached recording: bit-identical counters to
-        :meth:`_record_ufunc_reference` at a fraction of the cost."""
+    def _record_ufunc(self, ufunc, method: str, raw_inputs: tuple, result: Any) -> None:
+        """Signature-cached recording: classification runs once per
+        signature (see :func:`_build_ufunc_recipe`); per call only the
+        element counts and byte traffic are gathered."""
         primary = result[0] if isinstance(result, tuple) else result
         if isinstance(primary, np.ndarray):
             result_dtype = primary.dtype
@@ -452,8 +403,9 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
         try:
             opkey, cast_slots, mode, first_array = _RECIPES[key]
         except KeyError:
-            recipe = _build_ufunc_recipe(ufunc, method, result_dtype, key[3:])
-            _remember_recipe(key, recipe)
+            recipe = _RECIPES[key] = _build_ufunc_recipe(
+                ufunc, method, result_dtype, key[3:]
+            )
             opkey, cast_slots, mode, first_array = recipe
 
         if mode == _MODE_CALL:
@@ -476,71 +428,6 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
             casts += raw_inputs[slot].size
         self._profile.record_op_keyed(opkey, n, bytes_read, bytes_written, casts)
 
-    def _record_ufunc_reference(self, ufunc, method: str, raw_inputs: tuple, result: Any) -> None:
-        """The original, uncached recording path.  Kept verbatim as the
-        ground truth the bit-exactness suite checks the fast path
-        against; selected via :func:`set_reference_mode`."""
-        primary = result[0] if isinstance(result, tuple) else result
-        if isinstance(primary, np.ndarray):
-            result_dtype = primary.dtype
-            result_size = primary.size
-            bytes_written = float(primary.nbytes)
-        elif isinstance(primary, np.generic):
-            result_dtype = primary.dtype
-            result_size = 1
-            bytes_written = float(result_dtype.itemsize)
-        else:
-            result_dtype = np.dtype(np.float64)
-            result_size = 1
-            bytes_written = 8.0
-
-        array_inputs = [x for x in raw_inputs if isinstance(x, np.ndarray)]
-        bytes_read = float(sum(x.nbytes for x in array_inputs))
-        input_sizes = [x.size for x in array_inputs]
-        max_input = max(input_sizes, default=1)
-
-        if ufunc.__name__ in ("matmul", "vecdot"):
-            # flops for matmul: 2 · (result elements) · (contraction length)
-            contraction = array_inputs[0].shape[-1] if array_inputs else 1
-            n = 2.0 * max(result_size, 1) * contraction
-        elif method in ("reduce", "accumulate", "reduceat"):
-            n = float(max_input)
-        elif method == "outer":
-            n = float(result_size)
-        elif method == "at":
-            n = float(_index_size(array_inputs[0], raw_inputs[1]) if len(raw_inputs) > 1 else max_input)
-        else:  # __call__
-            n = float(max(result_size, max_input))
-
-        # Promotion casts: floating inputs narrower/wider than the
-        # compute dtype are converted element-by-element, like C.
-        casts = 0.0
-        if result_dtype.kind == "f":
-            for x in array_inputs:
-                if x.dtype.kind == "f" and x.dtype != result_dtype:
-                    casts += x.size
-
-        opclass = opclass_for_ufunc(ufunc.__name__, result_dtype.kind)
-        compute_dtype = result_dtype.name
-        if result_dtype.kind == "b" and array_inputs:
-            # Comparisons compute at the input precision even though the
-            # result is boolean.
-            widest = max(
-                (x.dtype for x in array_inputs if x.dtype.kind == "f"),
-                key=lambda dt: dt.itemsize,
-                default=None,
-            )
-            if widest is not None:
-                compute_dtype = widest.name
-                opclass = OpClass.CHEAP
-        self._profile.record_op(
-            opclass, compute_dtype, n,
-            bytes_read=bytes_read, bytes_written=bytes_written, casts=casts,
-        )
-
-    #: active recording strategy (swapped by :func:`set_reference_mode`)
-    _record_ufunc = _record_ufunc_fast
-
     # -- non-ufunc NumPy functions ---------------------------------------------
     def __array_function__(self, func, types, args, kwargs):
         raw_args = _unwrap_tree(args)
@@ -556,6 +443,8 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
                 wrapped._profile = profile
                 return wrapped
             return result[()]
+        if isinstance(result, np.generic):  # np.dot / reductions
+            return result
         return _wrap_tree(result, profile)
 
     # -- indexing ---------------------------------------------------------------
@@ -568,7 +457,7 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
             self._profile.record_gather(float(n), float(nbytes))
         return wrap(result, self._profile)
 
-    def _getitem_fast(self, key: Any) -> Any:
+    def __getitem__(self, key: Any) -> Any:
         """Basic (view) indexing records nothing, so it can skip key
         unwrapping and result classification entirely."""
         if _is_basic_index(key):
@@ -608,7 +497,7 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
             if casts:
                 self._profile.record_cast(casts)
 
-    def _setitem_fast(self, key: Any, value: Any) -> None:
+    def __setitem__(self, key: Any, value: Any) -> None:
         """Basic-index stores with the MOVE bucket key cached per dtype."""
         if not _is_basic_index(key):
             self._setitem_reference(key, value)
@@ -625,11 +514,8 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
             casts = float(min(value_size, n))
         data[key] = raw_value
         self._profile.record_op_keyed(
-            _move_key(dtype), float(n), 0.0, float(n) * dtype.itemsize, casts,
+            _op_key(OpClass.MOVE, dtype), float(n), 0.0, float(n) * dtype.itemsize, casts,
         )
-
-    __getitem__ = _getitem_fast
-    __setitem__ = _setitem_fast
 
     # -- shape/dtype helpers -----------------------------------------------------
     def reshape(self, *shape) -> "MPArray":
@@ -743,9 +629,9 @@ class QuantizedMPArray(MPArray):
             else:
                 data[raw_key] = _quantize_scalar(gathered, self._qspec)
 
-    # ``MPArray.__setitem__`` is looked up at call time on purpose: it
-    # is a class attribute that reference mode swaps, and the swap must
-    # keep applying under the subclass.
+    # ``MPArray.__setitem__`` is looked up at call time, so a store
+    # recorder patched onto the base class (the test suite's reference
+    # oracle) applies under the subclass too.
     def __setitem__(self, key: Any, value: Any) -> None:
         MPArray.__setitem__(self, key, value)
         self._requantize_key(key)
@@ -888,13 +774,13 @@ def _result_stats(result: Any) -> tuple[float, float]:
     return 1.0, 8.0
 
 
-def _dtype_of(result: Any, arrays: list[np.ndarray]) -> str:
+def _dtype_of(result: Any, arrays: list[np.ndarray]) -> np.dtype:
     if isinstance(result, (np.ndarray, np.generic)) and result.dtype.kind == "f":
-        return _dtype_name(result.dtype)
+        return result.dtype
     for arr in arrays:
         if arr.dtype.kind == "f":
-            return _dtype_name(arr.dtype)
-    return "float64"
+            return arr.dtype
+    return _FLOAT64
 
 
 def _record_generic(profile: Profile, raw_args: Any, result: Any) -> None:
@@ -903,10 +789,9 @@ def _record_generic(profile: Profile, raw_args: Any, result: Any) -> None:
     arrays = _array_args(raw_args)
     result_size, result_bytes = _result_stats(result)
     n = max([a.size for a in arrays] + [result_size])
-    profile.record_op(
-        OpClass.CHEAP, _dtype_of(result, arrays), float(n),
-        bytes_read=float(sum(a.nbytes for a in arrays)),
-        bytes_written=result_bytes,
+    profile.record_op_keyed(
+        _op_key(OpClass.CHEAP, _dtype_of(result, arrays)), float(n),
+        float(sum(a.nbytes for a in arrays)), result_bytes, 0.0,
     )
 
 
@@ -929,21 +814,24 @@ def _record_dot(profile: Profile, raw_args: Any, result: Any) -> None:
     contraction = a.shape[-1] if a.ndim else 1
     result_size, result_bytes = _result_stats(result)
     flops = 2.0 * max(result_size, 1.0) * contraction
-    profile.record_op(
-        OpClass.CHEAP, _dtype_of(result, arrays), flops,
-        bytes_read=float(a.nbytes + b.nbytes), bytes_written=result_bytes,
+    da = a.dtype
+    db = b.dtype
+    casts = (
+        float(min(a.size, b.size))
+        if da != db and da.kind == "f" and db.kind == "f" else 0.0
     )
-    if a.dtype != b.dtype and a.dtype.kind == "f" and b.dtype.kind == "f":
-        profile.record_cast(float(min(a.size, b.size)))
+    profile.record_op_keyed(
+        _op_key(OpClass.CHEAP, _dtype_of(result, arrays)), flops,
+        float(a.nbytes + b.nbytes), result_bytes, casts,
+    )
 
 
 def _record_move(profile: Profile, raw_args: Any, result: Any) -> None:
     arrays = _array_args(raw_args)
     result_size, result_bytes = _result_stats(result)
-    profile.record_op(
-        OpClass.MOVE, _dtype_of(result, arrays), result_size,
-        bytes_read=float(sum(a.nbytes for a in arrays)),
-        bytes_written=result_bytes,
+    profile.record_op_keyed(
+        _op_key(OpClass.MOVE, _dtype_of(result, arrays)), result_size,
+        float(sum(a.nbytes for a in arrays)), result_bytes, 0.0,
     )
 
 
@@ -961,18 +849,17 @@ def _record_reduction(profile: Profile, raw_args: Any, result: Any) -> None:
             result_bytes = float(result.dtype.itemsize)
         else:
             result_bytes = 8.0
-        profile.record_op(
-            OpClass.CHEAP, _dtype_of(result, (arr,)), float(arr.size),
-            bytes_read=float(arr.nbytes), bytes_written=result_bytes,
+        profile.record_op_keyed(
+            _op_key(OpClass.CHEAP, _dtype_of(result, (arr,))), float(arr.size),
+            float(arr.nbytes), result_bytes, 0.0,
         )
         return
     arrays = _array_args(raw_args)
     n = float(max((a.size for a in arrays), default=1))
     result_size, result_bytes = _result_stats(result)
-    profile.record_op(
-        OpClass.CHEAP, _dtype_of(result, arrays), n,
-        bytes_read=float(sum(a.nbytes for a in arrays)),
-        bytes_written=result_bytes,
+    profile.record_op_keyed(
+        _op_key(OpClass.CHEAP, _dtype_of(result, arrays)), n,
+        float(sum(a.nbytes for a in arrays)), result_bytes, 0.0,
     )
 
 
@@ -995,9 +882,9 @@ def _record_reduction(profile: Profile, raw_args: Any, result: Any) -> None:
 # at import time by `_calibrate_reuse` on this very interpreter; a
 # bound operand measures one higher.  If the interpreter's calling
 # convention ever changes the pattern, calibration fails closed and
-# every op takes the ordinary allocate path.  Reference mode
-# (`set_reference_mode`) also disables reuse, so the bit-exactness
-# suite checks this machinery end to end.
+# every op takes the ordinary allocate path.  The bit-exactness suite
+# sets the thresholds to that fail-closed sentinel for its reference
+# runs, so it checks this machinery end to end.
 
 #: binary ufuncs whose result dtype always equals the (floating) input
 #: dtype under NEP-50 with a same-dtype/weak-scalar partner — the
@@ -1037,7 +924,7 @@ def _make_binop(ufunc):
             return ufunc(self, other)  # full NumPy dispatch for exotic types
         a = self._data
         out = None
-        if reusable and _FAST_MODE:
+        if reusable:
             if (
                 a.dtype.kind == "f"
                 and a.base is None
@@ -1091,7 +978,6 @@ def _make_rbinop(ufunc):
         out = None
         if (
             reusable
-            and _FAST_MODE
             and a.dtype.kind == "f"
             and a.base is None
             and a.flags.writeable
@@ -1121,8 +1007,7 @@ def _make_unop(ufunc):
     def op(self):
         a = self._data
         if (
-            _FAST_MODE
-            and a.dtype.kind == "f"
+            a.dtype.kind == "f"
             and a.base is None
             and a.flags.writeable
             and sys.getrefcount(self) == _T_SELF

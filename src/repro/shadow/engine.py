@@ -546,7 +546,8 @@ class ShadowArray(MPArray):
     def __setitem__(self, key, value):
         ctx = self._ctx
         # Base-class store: writes the reference data and records the
-        # MOVE/gather exactly like a normal run (honours reference mode).
+        # MOVE/gather exactly like a normal run (looked up at call time,
+        # so the test suite's reference oracle applies here too).
         MPArray.__setitem__(self, key, value)
         raw_key = _unwrap_tree(key)
         self._divs_exact = False

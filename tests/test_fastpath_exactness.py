@@ -5,8 +5,8 @@ profile counters, input caching, init-copy elision and dead-temporary
 buffer reuse) is a pure performance optimisation: every
 benchmark must produce byte-identical outputs, identical profile
 summaries and identical modeled times whether it runs under the
-readable reference recorder or the fast path — cold *and* warm, so the
-per-process caches are proven safe too.
+readable reference recorder (``tests/oracle.py``) or the fast path —
+cold *and* warm, so the per-process caches are proven safe too.
 
 These tests are the contract that lets `scripts/bench_runtime.py`
 claim its speedup changes nothing observable.
@@ -27,7 +27,10 @@ from repro.core.types import Precision, PrecisionConfig
 from repro.runtime import memory as mp_memory
 from repro.runtime import mparray as _mparray
 from repro.runtime.memory import Workspace
-from repro.runtime.mparray import reference_recording
+from repro.runtime.mparray import MPArray
+
+import oracle
+from oracle import ELISION_THRESHOLDS, REUSE_THRESHOLDS, reference_recording
 
 ALL_BENCHMARKS = available_benchmarks()
 
@@ -169,6 +172,42 @@ class TestElisionSafety:
         with reference_recording():
             ws.array("t", init=a + 1.0)
         assert mp_memory._ELISIONS == before
+
+
+def _patched_state() -> tuple:
+    """Everything :func:`reference_recording` patches, as it stands."""
+    return (
+        MPArray.__dict__["_record_ufunc"],
+        MPArray.__dict__["__getitem__"],
+        MPArray.__dict__["__setitem__"],
+        *(getattr(_mparray, name) for name in REUSE_THRESHOLDS),
+        *(getattr(mp_memory, name) for name in ELISION_THRESHOLDS),
+    )
+
+
+class TestReferenceOracle:
+    """The oracle helper installs the reference recorder, turns reuse
+    and elision off, and puts every patched name back on exit."""
+
+    def test_installs_reference_recorder_and_sentinels(self):
+        before = _patched_state()
+        with reference_recording():
+            assert MPArray._record_ufunc is oracle._record_ufunc_reference
+            assert MPArray.__getitem__ is MPArray._getitem_reference
+            assert MPArray.__setitem__ is MPArray._setitem_reference
+            for name in REUSE_THRESHOLDS:
+                assert getattr(_mparray, name) == -9
+            for name in ELISION_THRESHOLDS:
+                assert getattr(mp_memory, name) == -9
+        assert _patched_state() == before
+
+    def test_restores_everything_when_the_body_raises(self):
+        before = _patched_state()
+        with pytest.raises(RuntimeError, match="inside the oracle"):
+            with reference_recording():
+                Workspace().array("x", shape=4, fill=1.0)[1:3] = 2.0
+                raise RuntimeError("inside the oracle")
+        assert _patched_state() == before
 
 
 class TestBufferReuseSafety:

@@ -19,7 +19,8 @@ from hypothesis import given, settings
 
 from repro.core.types import Precision, PrecisionConfig
 from repro.runtime.memory import Workspace
-from repro.runtime.mparray import reference_recording
+
+from oracle import reference_recording
 
 #: ops are appended to a growing value list; each step draws operand
 #: indices into it (0 and 1 are the declared input arrays)
@@ -46,7 +47,8 @@ def programs(draw):
 
 def _run_program(precision, shape, steps):
     """Execute one random program in a fresh workspace; returns the
-    final array's bytes and the workspace profile summary."""
+    final array's bytes, the first initialiser's bytes and the
+    workspace profile summary."""
     config = PrecisionConfig({"a": precision, "b": precision})
     ws = Workspace(config)
     size = int(np.prod(shape))
@@ -80,7 +82,13 @@ def _run_program(precision, shape, steps):
     # binding a dead temporary to a declaration exercises the
     # init-copy elision, as every real benchmark does
     final = ws.array("out", init=values[-1] + 0.0)
-    return np.asarray(final._data).tobytes(), ws.profile.summary()
+    # a store into a variable must never reach the caller's bound
+    # initialiser (an elision that adopted ``init_a`` would show here)
+    values[0][...] = -1.0
+    return (
+        np.asarray(final._data).tobytes(), init_a.tobytes(),
+        ws.profile.summary(),
+    )
 
 
 @given(programs())

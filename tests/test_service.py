@@ -268,6 +268,68 @@ class TestScheduler:
             )
             assert stripped(served) == stripped(direct)
 
+    def test_concurrent_mixed_option_tenants_match_serial_grids(self, data_env):
+        """Two tenants submit at once, over the same programs, specs that
+        differ only in their options (plain; prune + shadow order +
+        screen; a stochastic-rounding BW grid).  Two scheduler workers
+        run their shards concurrently through one shared cache, yet each
+        spec's results equal its own serial ``run_grid``."""
+        programs = ("tridiag", "eos", "planckian")
+        grid = dict(
+            programs=programs, algorithms=("DD", "HR"),
+            thresholds=(1e-8, 1e-10), max_evaluations=12,
+        )
+        submissions = {
+            "alice": [
+                GridSpec(**grid),
+                GridSpec(
+                    programs=programs, algorithms=("BW",),
+                    thresholds=(1e-8,), max_evaluations=12,
+                    rounding="stochastic",
+                ),
+            ],
+            "bob": [GridSpec(**grid, prune=True, shadow=True, screen=True)],
+        }
+        scheduler = Scheduler(data_env / "svc", workers=2, quota=4)
+        scheduler.start()
+        job_ids: dict[str, list[str]] = {}
+        barrier = threading.Barrier(len(submissions))
+
+        def submit(tenant):
+            barrier.wait(timeout=30)
+            job_ids[tenant] = [
+                scheduler.submit(spec, tenant=tenant)
+                for spec in submissions[tenant]
+            ]
+
+        try:
+            threads = [
+                threading.Thread(target=submit, args=(tenant,))
+                for tenant in submissions
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            for ids in job_ids.values():
+                for job_id in ids:
+                    assert scheduler.wait_job(job_id, timeout=300) == "done"
+        finally:
+            scheduler.stop(drain=True)
+
+        served = {}
+        for tenant, specs in submissions.items():
+            for spec, job_id in zip(specs, job_ids[tenant]):
+                served[spec] = stripped(json.loads(
+                    results_path(data_env / "svc", job_id).read_text()
+                ))
+                direct = [r.to_json_dict() for r in run_grid(spec.jobs())]
+                assert served[spec] == stripped(direct)
+        # the options change the outcomes, so a leak between the two
+        # tenants' shards would show
+        plain, guided = submissions["alice"][0], submissions["bob"][0]
+        assert served[plain] != served[guided]
+
     def test_quota_counts_active_jobs_per_tenant(self, tmp_path):
         scheduler = Scheduler(tmp_path / "svc", quota=1)  # never started
         scheduler.submit(small_spec(), tenant="alice")
