@@ -12,6 +12,9 @@ For every registered benchmark this script times
 
 The ratio ``instrumented / raw`` is the instrumentation overhead the
 fast-path runtime exists to shrink; the raw time is its hard floor.
+Each path also reports its minor page faults per timed call
+(``getrusage``), which shows whether a trial's temporaries reuse heap
+pages that are already faulted in.
 Results land in ``BENCH_runtime.json``.  When a baseline file (by
 default ``benchmarks/BENCH_runtime_baseline.json``, captured from the
 pre-fast-path runtime) is present, each benchmark also reports its
@@ -29,6 +32,7 @@ import argparse
 import json
 import math
 import platform
+import resource
 import sys
 import time
 from pathlib import Path
@@ -64,12 +68,18 @@ class RawWorkspace(Workspace):
         return np.zeros(shape, dtype=dtype)
 
 
-def _time_call(fn, *, repeats: int, min_seconds: float) -> float:
+def _minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _time_call(fn, *, repeats: int, min_seconds: float) -> tuple[float, float]:
     """Best-of timing: repeat ``fn`` until both the repeat count and a
-    minimum total runtime are met, return the fastest observed call."""
+    minimum total runtime are met.  Returns the fastest observed call
+    and the mean minor page faults per call."""
     best = math.inf
     total = 0.0
     runs = 0
+    faults_before = _minor_faults()
     while runs < repeats or total < min_seconds:
         start = time.perf_counter()
         fn()
@@ -79,7 +89,7 @@ def _time_call(fn, *, repeats: int, min_seconds: float) -> float:
         runs += 1
         if runs >= 5 * repeats and total >= min_seconds / 5:
             break  # pathologically slow benchmark; stop early
-    return best
+    return best, (_minor_faults() - faults_before) / runs
 
 
 def bench_one(name: str, repeats: int, min_seconds: float) -> dict:
@@ -99,14 +109,17 @@ def bench_one(name: str, repeats: int, min_seconds: float) -> dict:
     with np.errstate(all="ignore"):
         instrumented()  # warm both paths before timing
         raw()
-        instr_s = _time_call(instrumented, repeats=repeats, min_seconds=min_seconds)
-        raw_s = _time_call(raw, repeats=repeats, min_seconds=min_seconds)
+        instr_s, instr_faults = _time_call(
+            instrumented, repeats=repeats, min_seconds=min_seconds)
+        raw_s, raw_faults = _time_call(raw, repeats=repeats, min_seconds=min_seconds)
     return {
         "benchmark": name,
         "category": bench.category,
         "instrumented_seconds": instr_s,
         "raw_seconds": raw_s,
         "overhead_ratio": instr_s / raw_s if raw_s > 0 else math.inf,
+        "instrumented_minor_faults": instr_faults,
+        "raw_minor_faults": raw_faults,
     }
 
 
@@ -155,6 +168,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{name:16s} instrumented {entry['instrumented_seconds']*1e3:9.3f} ms"
             f"   raw {entry['raw_seconds']*1e3:9.3f} ms"
             f"   overhead x{entry['overhead_ratio']:.2f}"
+            f"   faults {entry['instrumented_minor_faults']:.0f}"
+            f"/{entry['raw_minor_faults']:.0f}"
         )
 
     baseline_map = {}

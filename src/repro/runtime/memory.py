@@ -20,6 +20,8 @@ live array footprint that drives the machine model's cache tiering.
 
 from __future__ import annotations
 
+import ctypes
+import os
 import sys
 from functools import cached_property
 from typing import Any, Mapping
@@ -52,6 +54,47 @@ _ELISIONS = 0
 #: matches nothing and so turns the elision off.
 _T_INIT = 2
 _T_INIT_DATA = 3
+
+#: glibc ``mallopt`` parameters (``<malloc.h>``)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap_warm() -> None:
+    """Keep large trial temporaries on the heap between trials.
+
+    By default glibc serves every block above its mmap threshold
+    (128 KiB to start with) by a fresh ``mmap`` and trims the heap top
+    once more than twice that is free, so a trial's large temporaries
+    (hotspot's 1.6 MB grids, hpccg's 128 KiB vectors) are mapped,
+    faulted in, zeroed and unmapped again on every trial.  Raising the
+    mmap threshold to 32 MiB (the largest value glibc accepts on 64-bit
+    hosts) and the trim threshold to 64 MiB lets freed blocks stay on
+    the heap, already faulted in, for the next trial.  Both are set, the
+    trim threshold only once the mmap threshold took: setting either
+    one turns off glibc's dynamic threshold, so one alone is worse than
+    neither.
+
+    The setting is process-wide (it covers every thread arena, so the
+    service's worker threads too; fork-started pool workers inherit it
+    and spawned ones import this module).  It is safe because it only
+    decides how long freed memory stays cached: no output, profile,
+    modeled time or saved outcome can depend on it.  On any libc but
+    glibc, or if ``mallopt`` cannot be found, nothing changes.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 32 << 20):
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_heap_warm()
 
 
 class Workspace:
@@ -156,8 +199,10 @@ class Workspace:
         if init is not None:
             # Initialisation happens in the variable's own type (a C
             # kernel writes `x[i] = (float)f(i)` directly), so the
-            # conversion is not charged as a runtime cast; file-driven
-            # conversions go through mp_fread, which does charge it.
+            # conversion is not charged as a runtime cast.  mp_fread
+            # hands its raw file array here too, so a file-to-variable
+            # conversion is not charged either (mp_fread records only
+            # the file traffic).
             #
             # When ``init`` is a provably-dead temporary of the right
             # dtype — an expression result nothing else references —

@@ -1,8 +1,11 @@
 """Unit tests for the Workspace (precision-agnostic allocation)."""
 
+import platform
+
 import numpy as np
 import pytest
 
+from repro.benchmarks.base import get_benchmark
 from repro.core.types import Precision, PrecisionConfig
 from repro.errors import MixPBenchError, UnknownVariableError
 from repro.runtime.memory import Workspace
@@ -134,3 +137,24 @@ class TestDeterminism:
         a = Workspace(seed=7).rng.random(5)
         b = Workspace(seed=8).rng.random(5)
         assert not np.array_equal(a, b)
+
+
+@pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc",
+    reason="the runtime sets its heap policy through glibc's mallopt only",
+)
+def test_warm_trial_reuses_faulted_in_heap_pages():
+    # hotspot's 448x448 grids (1.6 MB each) sit far above glibc's
+    # default 128 KiB mmap threshold: without the runtime's heap policy
+    # every trial maps, faults in and unmaps them (~19,700 faults).
+    import resource
+
+    bench = get_benchmark("hotspot")
+    config = PrecisionConfig()
+    bench.execute(config)  # warm-up: fills the heap once
+    faults = []
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        bench.execute(config)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert min(faults) <= 200, faults
