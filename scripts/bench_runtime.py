@@ -208,25 +208,27 @@ def main(argv: list[str] | None = None) -> int:
     if summary["geomean_speedup_vs_baseline"] is not None:
         print(f"geomean speedup vs baseline: x{summary['geomean_speedup_vs_baseline']:.2f}")
 
+    # Every gate runs and prints its verdict, so a red run shows all of
+    # them; the exit status is non-zero if any one failed.
+    status = 0
     if args.fail_over_ratio is not None:
         bad = [e for e in results if e["overhead_ratio"] > args.fail_over_ratio]
-        if bad:
-            for e in bad:
-                print(
-                    f"FAIL: {e['benchmark']} overhead x{e['overhead_ratio']:.2f} "
-                    f"exceeds limit x{args.fail_over_ratio:.2f}", file=sys.stderr,
-                )
-            return 1
+        for e in bad:
+            print(
+                f"FAIL: {e['benchmark']} overhead x{e['overhead_ratio']:.2f} "
+                f"exceeds limit x{args.fail_over_ratio:.2f}", file=sys.stderr,
+            )
+            status = 1
     if args.fail_under_speedup is not None and speedups:
         if summary["geomean_speedup_vs_baseline"] < args.fail_under_speedup:
             print(
                 f"FAIL: geomean speedup x{summary['geomean_speedup_vs_baseline']:.2f} "
                 f"below required x{args.fail_under_speedup:.2f}", file=sys.stderr,
             )
-            return 1
+            status = 1
     if args.compare_to is not None:
-        return compare_to_committed(results, args.compare_to, args.max_regression)
-    return 0
+        status |= compare_to_committed(results, args.compare_to, args.max_regression)
+    return status
 
 
 def compare_to_committed(

@@ -153,11 +153,17 @@ def unwrap(value: Any) -> Any:
 
 def wrap(value: Any, profile: Profile) -> Any:
     """Wrap ndarray results; pass scalars and 0-d results through as
-    plain NumPy scalars (scalar work is negligible in the model)."""
+    plain NumPy scalars (scalar work is negligible in the model).  Every
+    dispatch path (ufuncs, operators, NumPy functions, indexing) hands
+    its array results back through here, except basic indexing, which
+    builds its views inline (see ``MPArray.__getitem__``)."""
     if isinstance(value, np.ndarray):
-        if value.ndim == 0:
-            return value[()]
-        return MPArray(value, profile)
+        if value.ndim:
+            wrapped = _MP_NEW(MPArray)
+            wrapped._data = value
+            wrapped._profile = profile
+            return wrapped
+        return value[()]
     return value
 
 
@@ -269,8 +275,8 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
 
     # -- ufunc dispatch -------------------------------------------------------
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if kwargs:
-            return self._array_ufunc_with_kwargs(ufunc, method, inputs, kwargs)
+        # Arity-specialised unwrap: one- and two-input calls cover every
+        # hot op, and unpacking them directly skips a generator.
         if len(inputs) == 2:
             x0, x1 = inputs
             raw_inputs = (
@@ -284,64 +290,46 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
             raw_inputs = tuple(
                 x._data if isinstance(x, MPArray) else x for x in inputs
             )
+        outs = kwargs.get("out", ())  # NumPy always hands ``out=`` over as a tuple
+        if outs:
+            kwargs["out"] = tuple(o._data if isinstance(o, MPArray) else o for o in outs)
         if method == "__call__":
-            result = ufunc(*raw_inputs)
+            result = ufunc(*raw_inputs, **kwargs)
         else:
-            result = getattr(ufunc, method)(*raw_inputs)
+            result = getattr(ufunc, method)(*raw_inputs, **kwargs)
         self._record_ufunc(ufunc, method, raw_inputs, result)
-        if method == "at" and isinstance(inputs[0], QuantizedMPArray):
-            # ufunc.at mutates its first operand in place.
-            inputs[0]._quantize_storage()
+        if method == "at":
+            outs = inputs[:1]  # ufunc.at mutates its first operand in place
+        # ``out=`` writes into variable storage directly (this is also
+        # how the operator mixin implements ``+=`` etc.); any
+        # emulated-format target must re-round what was written.
+        for target in outs:
+            if isinstance(target, QuantizedMPArray):
+                target._quantize_storage()
 
         profile = self._profile
-        if isinstance(result, np.ndarray):
-            if result.ndim:
-                wrapped = _MP_NEW(MPArray)
-                wrapped._data = result
-                wrapped._profile = profile
-                return wrapped
-            return result[()]
         if isinstance(result, tuple):
             return tuple(wrap(part, profile) for part in result)
-        return result
-
-    def _array_ufunc_with_kwargs(self, ufunc, method, inputs, kwargs):
-        """The general (``out=``, ``axis=``, ...) dispatch path."""
-        raw_inputs = tuple(unwrap(x) for x in inputs)
-        out = kwargs.get("out")
-        out_was_wrapped = False
-        if out is not None:
-            raw_out = tuple(unwrap(o) for o in (out if isinstance(out, tuple) else (out,)))
-            out_was_wrapped = any(isinstance(o, MPArray) for o in (out if isinstance(out, tuple) else (out,)))
-            kwargs["out"] = raw_out
-
-        result = getattr(ufunc, method)(*raw_inputs, **kwargs)
-        self._record_ufunc(ufunc, method, raw_inputs, result)
-        if out is not None:
-            # ``out=`` writes into variable storage directly (this is
-            # also how the operator mixin implements ``+=`` etc.); any
-            # emulated-format target must re-round what was written.
-            for target in (out if isinstance(out, tuple) else (out,)):
-                if isinstance(target, QuantizedMPArray):
-                    target._quantize_storage()
-
-        if isinstance(result, tuple):
-            return tuple(wrap(part, self._profile) for part in result)
-        if out is not None and out_was_wrapped and isinstance(result, np.ndarray):
-            # Hand back the caller's own wrapper (the mixin's in-place
-            # operators rebind their target to this return value, and a
-            # QuantizedMPArray must stay quantised through ``x += y``).
-            for target in (out if isinstance(out, tuple) else (out,)):
-                if isinstance(target, MPArray) and target._data is result:
-                    return target
-            return MPArray(result, self._profile)
-        return wrap(result, self._profile)
+        # Hand back the caller's own wrapper (the mixin's in-place
+        # operators rebind their target to this return value, and a
+        # QuantizedMPArray must stay quantised through ``x += y``).
+        for target in outs:
+            if isinstance(target, MPArray) and target._data is result:
+                return target
+        return wrap(result, profile)
 
     def _record_ufunc(self, ufunc, method: str, raw_inputs: tuple, result: Any) -> None:
         """Signature-cached recording: classification runs once per
         signature (see :func:`_build_ufunc_recipe`); per call only the
         element counts and byte traffic are gathered."""
-        primary = result[0] if isinstance(result, tuple) else result
+        if method == "at":
+            # ufunc.at returns None; the target it mutated holds the
+            # result, at the target's dtype.
+            primary = raw_inputs[0]
+        elif isinstance(result, tuple):
+            primary = result[0]
+        else:
+            primary = result
         if isinstance(primary, np.ndarray):
             result_dtype = primary.dtype
             result_size = primary.size
@@ -417,11 +405,12 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
             n = 2.0 * max(result_size, 1) * contraction
         elif mode == _MODE_OUTER:
             n = float(result_size)
-        else:  # _MODE_AT
+        else:  # _MODE_AT: only the indexed elements are written
             n = float(
                 _index_size(raw_inputs[first_array], raw_inputs[1])
                 if n_in > 1 and first_array >= 0 else max_input
             )
+            bytes_written = n * result_dtype.itemsize
 
         casts = 0.0
         for slot in cast_slots:
@@ -436,14 +425,11 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
         profile = self._profile
         handler = _FUNCTION_HANDLERS.get(func, _record_generic)
         handler(profile, raw_args, result)
+        # Arrays and NumPy scalars (np.dot of two vectors, reductions)
+        # skip the container walk (ablation ledger, docs/runtime.md).
         if isinstance(result, np.ndarray):
-            if result.ndim:
-                wrapped = _MP_NEW(MPArray)
-                wrapped._data = result
-                wrapped._profile = profile
-                return wrapped
-            return result[()]
-        if isinstance(result, np.generic):  # np.dot / reductions
+            return wrap(result, profile)
+        if isinstance(result, np.generic):
             return result
         return _wrap_tree(result, profile)
 
@@ -459,7 +445,9 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
 
     def __getitem__(self, key: Any) -> Any:
         """Basic (view) indexing records nothing, so it can skip key
-        unwrapping and result classification entirely."""
+        unwrapping and result classification entirely.  It builds its
+        result inline rather than through :func:`wrap`, which measures
+        on innerprod (ablation ledger, docs/runtime.md)."""
         if _is_basic_index(key):
             result = self._data[key]
             if isinstance(result, np.ndarray):
@@ -578,10 +566,10 @@ class MPArray(np.lib.mixins.NDArrayOperatorsMixin):
 # __array_function__ plumbing
 
 
-#: bound ``MPArray.__new__``: hot wrap sites build results with two
-#: slot stores instead of a ``type.__call__`` -> ``__init__`` round
-#: trip (the isinstance guard in ``__init__`` is for external callers;
-#: internal sites always hold an ndarray).
+#: bound ``MPArray.__new__``: :func:`wrap` and basic indexing build
+#: results with two slot stores instead of a ``type.__call__`` ->
+#: ``__init__`` round trip (the isinstance guard in ``__init__`` is for
+#: external callers; both sites have already checked for an ndarray).
 _MP_NEW = MPArray.__new__
 
 
@@ -736,14 +724,10 @@ def _unwrap_tree(obj: Any) -> Any:
 
 
 def _wrap_tree(obj: Any, profile: Profile) -> Any:
-    if isinstance(obj, np.ndarray):
-        if obj.ndim:
-            return MPArray(obj, profile)
-        return obj[()]
     if isinstance(obj, (tuple, list)):
         parts = [_wrap_tree(x, profile) for x in obj]
         return parts if isinstance(obj, list) else tuple(parts)
-    return obj
+    return wrap(obj, profile)
 
 
 def _array_args(raw_args: Any) -> list[np.ndarray]:
@@ -952,12 +936,7 @@ def _make_binop(ufunc):
                 out = b
         result = ufunc(a, b) if out is None else ufunc(a, b, out=out)
         self._record_ufunc(ufunc, "__call__", (a, b), result)
-        if result.ndim:
-            wrapped = _MP_NEW(MPArray)
-            wrapped._data = result
-            wrapped._profile = self._profile
-            return wrapped
-        return result[()]
+        return wrap(result, self._profile)
 
     return op
 
@@ -993,12 +972,7 @@ def _make_rbinop(ufunc):
             out = a
         result = ufunc(b, a) if out is None else ufunc(b, a, out=out)
         self._record_ufunc(ufunc, "__call__", (b, a), result)
-        if result.ndim:
-            wrapped = _MP_NEW(MPArray)
-            wrapped._data = result
-            wrapped._profile = self._profile
-            return wrapped
-        return result[()]
+        return wrap(result, self._profile)
 
     return op
 
@@ -1017,12 +991,7 @@ def _make_unop(ufunc):
         else:
             result = ufunc(a)
         self._record_ufunc(ufunc, "__call__", (a,), result)
-        if result.ndim:
-            wrapped = _MP_NEW(MPArray)
-            wrapped._data = result
-            wrapped._profile = self._profile
-            return wrapped
-        return result[()]
+        return wrap(result, self._profile)
 
     return op
 

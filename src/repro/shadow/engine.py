@@ -398,7 +398,7 @@ class ShadowArray(MPArray):
         out = kwargs.get("out")
         raw_out = None
         if out is not None:
-            raw_out = tuple(unwrap(o) for o in (out if isinstance(out, tuple) else (out,)))
+            raw_out = tuple(unwrap(o) for o in out)  # NumPy always passes a tuple
             kwargs = dict(kwargs)
             kwargs["out"] = raw_out
         raw_inputs = tuple(x._data if isinstance(x, MPArray) else x for x in inputs)
@@ -464,7 +464,7 @@ class ShadowArray(MPArray):
                 divs = in_divs
                 exact = False
             if out is not None and raw_out is not None:
-                target = out[0] if isinstance(out, tuple) else out
+                target = out[0]
                 if isinstance(target, ShadowArray):
                     with np.errstate(all="ignore"):
                         for k in range(ctx.n):
@@ -626,7 +626,8 @@ class ShadowWorkspace(Workspace):
     path is fp64, the shadow replicas model the uniformly-lowered
     program.  The init-copy elision of the base class is deliberately
     not replicated — a shadow run happens once per analysis, and the
-    elision's refcount calibration is frame-layout sensitive.
+    elision's refcount thresholds are fixed constants that hold only
+    for the frame layout of the base class's ``array``.
     """
 
     def __init__(self, *args, shadow_context: ShadowContext, **kwargs):

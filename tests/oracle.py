@@ -45,7 +45,12 @@ def _record_ufunc_reference(self, ufunc, method: str, raw_inputs: tuple, result:
     its operation from scratch.  The ground truth the bit-exactness
     suite checks the signature-cached ``MPArray._record_ufunc``
     against."""
-    primary = result[0] if isinstance(result, tuple) else result
+    if method == "at":
+        # ufunc.at returns None; the target it mutated holds the
+        # result, at the target's dtype.
+        primary = raw_inputs[0]
+    else:
+        primary = result[0] if isinstance(result, tuple) else result
     if isinstance(primary, np.ndarray):
         result_dtype = primary.dtype
         result_size = primary.size
@@ -73,7 +78,9 @@ def _record_ufunc_reference(self, ufunc, method: str, raw_inputs: tuple, result:
     elif method == "outer":
         n = float(result_size)
     elif method == "at":
+        # only the indexed elements are written
         n = float(_index_size(array_inputs[0], raw_inputs[1]) if len(raw_inputs) > 1 else max_input)
+        bytes_written = n * result_dtype.itemsize
     else:  # __call__
         n = float(max(result_size, max_input))
 

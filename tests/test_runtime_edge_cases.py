@@ -11,6 +11,8 @@ from repro.runtime import (
 )
 from repro.runtime.machine import CacheLevel, MachineModel
 
+from oracle import reference_recording
+
 
 @pytest.fixture()
 def profile():
@@ -41,6 +43,25 @@ class TestExoticUfuncMethods:
         assert a.data[1] == 2.0
         assert a.data[3] == 1.0
         assert (OpClass.CHEAP, "float64") in profile.ops
+
+    @staticmethod
+    def _add_at_float32():
+        profile = Profile()
+        target = MPArray(np.zeros(8, dtype=np.float32), profile)
+        np.add.at(target, np.array([1, 1, 3]), np.ones(3, dtype=np.float32))
+        np.testing.assert_array_equal(target.data[[1, 3]], [2.0, 1.0])
+        return profile
+
+    def test_ufunc_at_is_priced_at_the_target_dtype(self):
+        # ufunc.at returns None: the op computes at the mutated
+        # target's dtype, with no promotion casts, and writes only the
+        # three indexed elements
+        with reference_recording():
+            reference = self._add_at_float32()
+        for profile in (self._add_at_float32(), reference):
+            assert profile.ops == {(OpClass.CHEAP, "float32"): 3.0}
+            assert profile.cast_elements == 0.0
+            assert profile.bytes_written == 12.0
 
     def test_divmod_tuple_result(self, profile):
         a = tracked(np.asarray([7.0, 9.0]), profile)
