@@ -18,13 +18,13 @@ Three backends are provided:
     the GIL inside large kernels, so threads already overlap real work.
 ``process``
     A :class:`~concurrent.futures.ProcessPoolExecutor` fed *picklable
-    work items* — ``(benchmark name, machine model, config JSON)``
-    triples — so nothing unpicklable crosses the process boundary.
-    Workers rebuild the benchmark from the suite registry (once per
-    process) and regenerate its inputs deterministically from the
-    benchmark seed.  Programs that are not registry benchmarks
-    (e.g. ad-hoc :class:`~repro.core.program.Program` objects) fall
-    back to in-process threads transparently.
+    work items* — ``(benchmark name, machine model, config JSON, trial
+    timeout)`` — so nothing unpicklable crosses the process boundary.
+    Workers look the benchmark up in the suite registry and generate
+    its inputs (deterministically, from the benchmark seed) and its
+    Typeforge report once per process.  Programs that are not registry
+    benchmarks (e.g. ad-hoc :class:`~repro.core.program.Program`
+    objects) fall back to in-process threads transparently.
 
 Executions are deterministic functions of the configuration, so *where*
 they run never changes *what* they return.
@@ -62,14 +62,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import threading
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -78,7 +77,7 @@ from repro.core.types import PrecisionConfig
 
 __all__ = [
     "ExecutionFailure", "FaultPolicy", "BatchExecutor", "SerialExecutor",
-    "ThreadExecutor", "ProcessExecutor", "WorkStealingQueue", "make_executor",
+    "ThreadExecutor", "ProcessExecutor", "make_executor",
     "chunked", "EXECUTOR_NAMES", "DEFAULT_BATCH_SIZE",
 ]
 
@@ -108,84 +107,6 @@ def chunked(iterable, size: int):
 #: exception types the evaluator treats as a runtime error of the
 #: configuration (not of the harness)
 RUNTIME_ERRORS = (FloatingPointError, ZeroDivisionError, ValueError, OverflowError)
-
-
-class WorkStealingQueue:
-    """Multi-lane FIFO with work stealing, for sharded schedulers.
-
-    Each *lane* (one submitted grid job, in the service) holds its
-    shards in FIFO order.  A worker :meth:`pop`\\ s from its preferred
-    lane while that lane has work — shard locality keeps one job's
-    warm benchmark instances on one worker — and *steals* from the
-    longest other lane when its own runs dry, so a wide job's backlog
-    is drained by every idle worker instead of serialising behind one.
-    Ties are broken by lane name so scheduling is deterministic under
-    a single worker.
-
-    ``close()`` wakes every blocked ``pop`` permanently; a pop on a
-    closed, empty queue returns ``None``.  :meth:`drop_lane` removes a
-    lane wholesale (job cancellation) and returns the unstarted items.
-    """
-
-    def __init__(self) -> None:
-        self._lanes: dict[str, deque] = {}
-        self._condition = threading.Condition()
-        self._closed = False
-
-    def push(self, lane: str, item) -> None:
-        with self._condition:
-            if self._closed:
-                raise RuntimeError("queue is closed")
-            self._lanes.setdefault(lane, deque()).append(item)
-            self._condition.notify()
-
-    def _select_lane(self, preferred: str | None) -> str | None:
-        if preferred is not None and self._lanes.get(preferred):
-            return preferred
-        candidates = [(lane, q) for lane, q in self._lanes.items() if q]
-        if not candidates:
-            return None
-        # steal from the deepest backlog; lane-name tie-break for
-        # deterministic single-worker schedules
-        return max(candidates, key=lambda pair: (len(pair[1]), pair[0]))[0]
-
-    def pop(
-        self, preferred: str | None = None, timeout: float | None = None
-    ) -> tuple[str, Any] | None:
-        """Next ``(lane, item)``; ``None`` on timeout or closed-and-empty."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._condition:
-            while True:
-                lane = self._select_lane(preferred)
-                if lane is not None:
-                    queue = self._lanes[lane]
-                    item = queue.popleft()
-                    if not queue:
-                        del self._lanes[lane]
-                    return lane, item
-                if self._closed:
-                    return None
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                self._condition.wait(remaining)
-
-    def drop_lane(self, lane: str) -> list:
-        """Remove one lane; returns its not-yet-popped items."""
-        with self._condition:
-            queue = self._lanes.pop(lane, None)
-            return list(queue) if queue else []
-
-    def close(self) -> None:
-        with self._condition:
-            self._closed = True
-            self._condition.notify_all()
-
-    def __len__(self) -> int:
-        with self._condition:
-            return sum(len(q) for q in self._lanes.values())
 
 
 class ExecutionFailure:
@@ -398,10 +319,6 @@ class ThreadExecutor(BatchExecutor):
 
 # -- process backend ---------------------------------------------------------
 
-#: per-worker-process benchmark instances, keyed by (name, machine name)
-_WORKER_BENCHMARKS: dict[tuple[str, str], Any] = {}
-
-
 def _execute_work_item(item: tuple) -> tuple:
     """Worker-side execution of one picklable work item.
 
@@ -409,21 +326,17 @@ def _execute_work_item(item: tuple) -> tuple:
     ``("error", exception_name)`` or ``("timeout",)`` tuple — nothing
     richer than NumPy arrays and strings crosses back to the parent.
     Transient (non-runtime) exceptions propagate to the parent, which
-    owns the retry budget.  The optional fourth item field is the
-    trial timeout for the post-hoc elapsed check (worker warm-up —
-    input generation, Typeforge analysis — is deliberately excluded
-    from the measured window).
+    owns the retry budget.  The fourth item field is the trial timeout
+    (or ``None``) for the post-hoc elapsed check; worker warm-up —
+    input generation, Typeforge analysis, each once per process in the
+    benchmark's per-process slot — happens before the measured window.
     """
-    program_name, machine, config_payload = item[:3]
-    timeout = item[3] if len(item) > 3 else None
-    key = (program_name, machine.name)
-    bench = _WORKER_BENCHMARKS.get(key)
-    if bench is None:
-        from repro.benchmarks.base import get_benchmark
+    from repro.benchmarks.base import get_benchmark
 
-        bench = get_benchmark(program_name, machine=machine)
-        bench.inputs()  # deterministic regeneration, once per process
-        _WORKER_BENCHMARKS[key] = bench
+    program_name, machine, config_payload, timeout = item
+    bench = get_benchmark(program_name, machine=machine)
+    bench.inputs()
+    bench.report()
     config = PrecisionConfig.from_json_dict(config_payload)
     started = time.perf_counter()
     try:

@@ -220,15 +220,19 @@ class JsonlJournal:
                     handle.truncate(truncate_at)
         self._handle = self.path.open("ab")
 
-    def append(self, kind: str, **fields: Any) -> None:
-        """Durably append one record: one write, one flush, one fsync."""
+    def append(self, kind: str, **fields: Any) -> dict:
+        """Durably append one record: one write, one flush, one fsync.
+
+        Returns the record as a reader of the file parses it back.
+        """
         record = {"kind": kind}
         record.update(fields)
-        line = (json.dumps(record, sort_keys=True, default=str) + "\n").encode()
+        line = json.dumps(record, sort_keys=True, default=str) + "\n"
         with self._lock:
-            self._handle.write(line)
+            self._handle.write(line.encode())
             self._handle.flush()
             os.fsync(self._handle.fileno())
+        return json.loads(line)
 
     def close(self) -> None:
         with self._lock:
@@ -249,7 +253,10 @@ class RunJournal(JsonlJournal):
     ``resume=True`` loads the prior state, verifies the run is the
     same grid (fingerprint and journal version), and truncates any
     torn tail so subsequent appends start on a record boundary.
-    Appends are thread-safe — grid workers journal concurrently.
+    Appends are thread-safe — grid workers journal concurrently — and
+    :attr:`state` follows the file: each ``append_*`` applies the record
+    it wrote, so ``state`` equals what :func:`load_run_state` would
+    parse back (a job's records all come from the thread running it).
     """
 
     def __init__(
@@ -286,10 +293,10 @@ class RunJournal(JsonlJournal):
 
         super().__init__(path, truncate_at=truncate_at)
         if not resume:
-            self.append(
+            _apply_record(self.state, self.append(
                 "run", run_id=run_id, version=JOURNAL_VERSION,
                 grid=fingerprint, jobs=[job_key(i, j) for i, j in enumerate(jobs)],
-            )
+            ))
 
     def _check_resumable(self, fingerprint: str, path: Path) -> None:
         meta = self.state.meta
@@ -311,13 +318,15 @@ class RunJournal(JsonlJournal):
     def append_trial(
         self, key: str, context: str, config_digest: str, record: Mapping
     ) -> None:
-        self.append(
+        _apply_record(self.state, self.append(
             "trial", job=key, context=context, config=config_digest,
             record=dict(record),
-        )
+        ))
 
     def append_job_done(self, key: str, result_payload: Mapping) -> None:
-        self.append("job_done", job=key, result=dict(result_payload))
+        _apply_record(self.state, self.append(
+            "job_done", job=key, result=dict(result_payload),
+        ))
 
 
 class JournalTrialStore:

@@ -38,7 +38,10 @@ from repro.runtime.cache import EvaluationCache
 from repro.search.registry import canonical_name, make_strategy, strategy_kwargs
 from repro.verify.quality import QualitySpec
 
-__all__ = ["SearchJob", "JobResult", "run_grid", "run_shard", "grid_jobs"]
+__all__ = [
+    "SearchJob", "JobResult", "run_grid", "run_shard", "grid_jobs",
+    "restore_finished",
+]
 
 
 @dataclass(frozen=True)
@@ -122,11 +125,27 @@ def grid_jobs(
     ]
 
 
+def restore_finished(
+    jobs: Sequence[SearchJob], journal: RunJournal | None,
+) -> list[JobResult | None]:
+    """Each job's result as its journal recorded it finished, in order;
+    ``None`` for a job still to run (and for every job without a journal)."""
+    finished = journal.state.finished if journal is not None else {}
+    results: list[JobResult | None] = []
+    for index, job in enumerate(jobs):
+        payload = finished.get(job_key(index, job))
+        restored = None
+        if payload is not None:
+            restored = JobResult.from_json_dict(payload, job)
+            restored.resumed = True
+        results.append(restored)
+    return results
+
+
 def run_shard(
     job: SearchJob,
     journal: RunJournal | None = None,
     key: str | None = None,
-    replay: Mapping[str, dict] | None = None,
     cache: EvaluationCache | None = None,
 ) -> JobResult:
     """Run one (program, algorithm, threshold) shard to completion.
@@ -134,7 +153,8 @@ def run_shard(
     This is the unit both :func:`run_grid` and the
     :class:`repro.service.scheduler.Scheduler` dispatch to workers.
     With a ``journal``/``key`` the shard's fresh trials are fsync'd as
-    they complete and ``replay`` trials are replayed through the
+    they complete, and the trials the journal already holds for ``key``
+    (a crashed run's, or a dead attempt's) are replayed through the
     evaluator's cache path (bit-identical resume).  ``cache`` injects a
     shared :class:`~repro.runtime.cache.EvaluationCache` *instance*
     (the service's cross-tenant dedupe store); without it, one is
@@ -149,7 +169,9 @@ def run_shard(
         if journal is not None and key is not None:
             # fresh trials are journaled as they complete; journaled
             # ones replay with identical cost/EV (see repro.core.checkpoint)
-            cache = JournalTrialStore(journal, key, replay, inner=cache)
+            cache = JournalTrialStore(
+                journal, key, journal.state.job_trials(key), inner=cache,
+            )
         try:
             evaluator = build_evaluator(
                 bench, quality, job, executor=batch_executor, cache=cache,
@@ -202,30 +224,18 @@ def run_grid(
             run_id, jobs, resume=resume is not None,
         )
     try:
-        state = journal.state if journal is not None else None
-        results: list[JobResult | None] = [None] * len(jobs)
-        pending: list[tuple[int, SearchJob, str]] = []
-        for index, job in enumerate(jobs):
-            key = job_key(index, job)
-            payload = state.finished.get(key) if state is not None else None
-            if payload is not None:
-                restored = JobResult.from_json_dict(payload, job)
-                restored.resumed = True
-                results[index] = restored
-            else:
-                pending.append((index, job, key))
-
-        def _execute(index: int, job: SearchJob, key: str) -> JobResult:
-            replay = state.job_trials(key) if state is not None else None
-            return run_shard(job, journal=journal, key=key, replay=replay)
-
+        results = restore_finished(jobs, journal)
+        pending = [
+            (index, job, job_key(index, job))
+            for index, job in enumerate(jobs) if results[index] is None
+        ]
         if workers <= 1:
             for index, job, key in pending:
-                results[index] = _collect(job, _execute, index, job, key)
+                results[index] = _collect(job, run_shard, job, journal=journal, key=key)
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    (index, job, pool.submit(_execute, index, job, key))
+                    (index, job, pool.submit(run_shard, job, journal=journal, key=key))
                     for index, job, key in pending
                 ]
                 # collect via futures in submission order: one worker's
@@ -238,10 +248,10 @@ def run_grid(
             journal.close()
 
 
-def _collect(job: SearchJob, invoke, *args) -> JobResult:
+def _collect(job: SearchJob, invoke, *args, **kwargs) -> JobResult:
     """Invoke one job, mapping any escaped exception to an error result."""
     try:
-        return invoke(*args)
+        return invoke(*args, **kwargs)
     except Exception as exc:  # noqa: BLE001 — keep collecting the other jobs
         return JobResult(
             job=job, error=traceback.format_exc(), error_kind=type(exc).__name__,

@@ -9,8 +9,9 @@ long-running system (``mixpbench serve`` / ``submit`` / ``status`` /
 * :mod:`repro.service.queue` — the durable on-disk queue: an fsync'd
   service journal plus the state-directory layout;
 * :mod:`repro.service.scheduler` — the :class:`Scheduler`: per-tenant
-  quotas, shard dispatch over a work-stealing queue, worker-crash
-  redispatch, cancellation, drains, and crash recovery;
+  quotas, first-come, first-served shard dispatch over one FIFO
+  queue, worker-crash redispatch, cancellation, drains, and crash
+  recovery;
 * :mod:`repro.service.client` — the daemon-free client half (spool
   submission handshake, read-only status, streaming attach).
 

@@ -5,9 +5,9 @@ turns the same machinery into a long-running service.  Submitted
 :class:`~repro.service.spec.GridSpec`\\ s are journaled durably
 (:mod:`repro.service.queue`), expanded into their
 :class:`~repro.harness.scheduler.SearchJob` shards, and dispatched to
-N worker threads over a :class:`~repro.core.batch.WorkStealingQueue`
-— each worker drains its own job's lane for locality and steals from
-the deepest backlog when idle.  Every shard executes through
+N worker threads through one FIFO queue: shards start first come,
+first served, in submission order across jobs and tenants (per-tenant
+quotas are the only fairness bound).  Every shard executes through
 :func:`repro.harness.scheduler.run_shard` with
 
 * the job's own :class:`~repro.core.checkpoint.RunJournal`, so every
@@ -22,14 +22,15 @@ Fault handling at this layer mirrors the executor layer below it: a
 worker that dies mid-shard (any exception escaping the shard,
 including hook failures) has its shard *redispatched* up to
 ``shard_retries`` times, replaying the trials the dead attempt already
-journaled; exhausting the budget records a ``WorkerCrash`` shard
-error, never a lost job.
+journaled (the run journal's live state holds them); exhausting the
+budget records a ``WorkerCrash`` shard error, never a lost job.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import queue
 import threading
 import time
 import traceback
@@ -37,11 +38,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.core.batch import WorkStealingQueue
-from repro.core.checkpoint import JournalError, RunJournal, job_key, load_run_state
+from repro.core.checkpoint import JournalError, RunJournal, job_key
 from repro.errors import MixPBenchError
 from repro.harness.options import as_count
-from repro.harness.scheduler import JobResult, SearchJob, run_shard
+from repro.harness.scheduler import JobResult, SearchJob, restore_finished, run_shard
 from repro.runtime.cache import EvaluationCache
 from repro.service.queue import ServiceJournal, state_paths
 from repro.service.spec import GridSpec, JobRecord
@@ -92,8 +92,8 @@ class _ActiveJob:
         self.shards = shards
         self.keys = [job_key(index, shard) for index, shard in enumerate(shards)]
         self.journal = journal
-        self.results: list[JobResult | None] = [None] * len(shards)
-        self.restored: set[int] = set()
+        self.results = restore_finished(shards, journal)
+        self.restored = sum(1 for result in self.results if result is not None)
         self.in_flight = 0
         self.redispatched = 0
         self.cancel_requested = False
@@ -115,7 +115,8 @@ class Scheduler:
         it: terminal jobs are kept as history, queued/running jobs are
         re-enqueued and resume from their journals.
     workers:
-        Worker threads draining the shard queue (work stealing).
+        Worker threads draining the shard queue, first come, first
+        served.
     quota:
         Per-tenant ceiling on *active* (queued + running) jobs; the
         quota protects the queue, not history — finished jobs don't
@@ -156,7 +157,8 @@ class Scheduler:
         self._sequence = self._journal.state.sequence
         self._lock = threading.RLock()
         self._idle = threading.Condition(self._lock)
-        self._queue = WorkStealingQueue()
+        #: ``(job_id, shard index)`` items; one ``None`` per worker on stop
+        self._queue: queue.SimpleQueue = queue.SimpleQueue()
         self._active: dict[str, _ActiveJob] = {}
         self._records: dict[str, JobRecord] = dict(self._journal.state.jobs)
         self._threads: list[threading.Thread] = []
@@ -185,16 +187,20 @@ class Scheduler:
 
         ``drain=True`` stops accepting submissions, lets every queued
         and running shard finish, then stops the workers.  With
-        ``drain=False`` workers stop after their current shard; the
-        journals make the abandoned jobs resumable on the next start.
+        ``drain=False`` workers finish their current shard and start no
+        other; the journals make the abandoned jobs resumable on the
+        next start.
         """
         with self._lock:
             self._draining = True
+            if not drain:
+                self._stopped = True  # from here on no shard starts
         if drain and self._threads:  # nobody drains a never-started queue
             self.wait_idle(timeout=timeout)
         with self._lock:
             self._stopped = True
-        self._queue.close()
+        for _ in self._threads:
+            self._queue.put(None)
         for thread in self._threads:
             thread.join(timeout=timeout)
         self._threads = []
@@ -257,8 +263,8 @@ class Scheduler:
             if active is None:  # accepted but lost its runtime state?
                 self._set_state(record, "cancelled")
                 return "cancelled"
+            # its queued shards are skipped as workers reach them
             active.cancel_requested = True
-            self._queue.drop_lane(job_id)
             if active.in_flight == 0:
                 self._finalize(active)
             return self._records[job_id].state
@@ -441,41 +447,25 @@ class Scheduler:
             resume=resume and journal_path.exists(),
         )
         active = _ActiveJob(record, shards, journal)
-        state = getattr(journal, "state", None)
-        pushed = 0
-        for index, key in enumerate(active.keys):
-            payload = state.finished.get(key) if state is not None else None
-            if payload is not None:
-                restored = JobResult.from_json_dict(payload, shards[index])
-                restored.resumed = True
-                active.results[index] = restored
-                active.restored.add(index)
-            else:
-                self._queue.push(record.job_id, index)
-                pushed += 1
+        for index, result in enumerate(active.results):
+            if result is None:
+                self._queue.put((record.job_id, index))
         self._active[record.job_id] = active
-        if pushed == 0:
+        if active.unfinished == 0:
             # every shard was journaled as done before the crash;
             # nothing to execute, only the terminal transition was lost
             self._finalize(active)
 
     def _worker_loop(self) -> None:
-        affinity: str | None = None
-        while True:
-            popped = self._queue.pop(preferred=affinity, timeout=0.2)
-            if popped is None:
-                with self._lock:
-                    if self._stopped:
-                        return
-                continue
-            lane, index = popped
-            affinity = lane
-            self._run_one(lane, index)
+        for job_id, index in iter(self._queue.get, None):
+            self._run_one(job_id, index)
 
     def _run_one(self, job_id: str, index: int) -> None:
         with self._lock:
             active = self._active.get(job_id)
-            if active is None:
+            # a stopped service starts no shard; a finalised job (one
+            # cancelled while this shard was queued) has none left to run
+            if active is None or self._stopped:
                 return
             if active.cancel_requested:
                 if active.in_flight == 0:
@@ -489,20 +479,15 @@ class Scheduler:
             shard = active.shards[index]
             key = active.keys[index]
             journal = active.journal
-            replay = (
-                journal.state.job_trials(key)
-                if getattr(journal, "state", None) is not None else None
-            )
 
         attempts = 0
         while True:
             try:
                 if self.hooks.shard_started is not None:
                     self.hooks.shard_started(job_id, key)
-                result = run_shard(
-                    shard, journal=journal, key=key, replay=replay,
-                    cache=self.cache,
-                )
+                # replays what the journal holds for this shard: a
+                # crashed run's trials, then also a dead attempt's
+                result = run_shard(shard, journal=journal, key=key, cache=self.cache)
                 if self.hooks.shard_finished is not None:
                     self.hooks.shard_finished(job_id, key, result)
                 break
@@ -516,9 +501,6 @@ class Scheduler:
                 attempts += 1
                 with self._lock:
                     active.redispatched += 1
-                # replay what the dead attempt already journaled, so the
-                # redispatched shard resumes instead of recomputing
-                replay = load_run_state(journal.path).job_trials(key)
 
         self._progress(
             job_id, "shard", shard=shard.label(),
@@ -610,7 +592,7 @@ def _aggregate_stats(active: _ActiveJob) -> dict:
         "shards_failed": sum(
             1 for r in active.results if r is not None and not r.ok
         ),
-        "shards_restored": len(active.restored),
+        "shards_restored": active.restored,
         "redispatched_shards": active.redispatched,
         "evaluations": 0,
         "fresh_evaluations": 0,

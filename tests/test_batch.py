@@ -14,7 +14,7 @@ from helpers import ToyProgram
 
 from repro.core.batch import (
     DEFAULT_BATCH_SIZE, EXECUTOR_NAMES, ExecutionFailure, ProcessExecutor,
-    SerialExecutor, ThreadExecutor, WorkStealingQueue, chunked,
+    SerialExecutor, ThreadExecutor, chunked,
     execute_guarded, make_executor,
 )
 from repro.core.evaluator import ConfigurationEvaluator, TimingMode
@@ -292,59 +292,27 @@ class TestEvalStats:
         assert payload["executor"] == "serial"
 
 
-class TestWorkStealingQueue:
-    def test_fifo_within_a_lane(self):
-        queue = WorkStealingQueue()
-        queue.push("a", 1)
-        queue.push("a", 2)
-        assert queue.pop(preferred="a") == ("a", 1)
-        assert queue.pop(preferred="a") == ("a", 2)
-        assert len(queue) == 0
+class TestProcessWorkItem:
+    def test_cold_worker_warms_up_outside_the_trial_window(
+        self, data_env, monkeypatch,
+    ):
+        """A cold worker process (a spawn or forkserver start, or one
+        after ``clear_process_caches()``) draws the inputs and runs the
+        Typeforge analysis before the trial timeout starts counting."""
+        import time
 
-    def test_prefers_own_lane_then_steals_deepest(self):
-        queue = WorkStealingQueue()
-        queue.push("shallow", 1)
-        queue.push("deep", 1)
-        queue.push("deep", 2)
-        queue.push("mine", 1)
-        assert queue.pop(preferred="mine") == ("mine", 1)
-        # own lane empty: steal from the deepest backlog
-        assert queue.pop(preferred="mine") == ("deep", 1)
+        from repro.benchmarks import base
+        from repro.core.batch import _execute_work_item
+        from repro.core.types import PrecisionConfig
+        from repro.runtime.machine import DEFAULT_MACHINE
 
-    def test_steal_tie_breaks_by_lane_name(self):
-        queue = WorkStealingQueue()
-        queue.push("b", 1)
-        queue.push("a", 1)
-        lane, _ = queue.pop(preferred="zzz")
-        assert lane == "b"  # equal depth: the greatest lane name wins
+        analyze = base.analyze
 
-    def test_drop_lane_returns_unstarted_items(self):
-        queue = WorkStealingQueue()
-        queue.push("a", 1)
-        queue.push("a", 2)
-        queue.push("b", 9)
-        assert queue.drop_lane("a") == [1, 2]
-        assert queue.drop_lane("a") == []
-        assert len(queue) == 1
+        def slow_analyze(*args, **kwargs):
+            time.sleep(0.6)
+            return analyze(*args, **kwargs)
 
-    def test_pop_timeout_and_close(self):
-        queue = WorkStealingQueue()
-        assert queue.pop(timeout=0.01) is None
-        queue.push("a", 1)
-        queue.close()
-        assert queue.pop() == ("a", 1)  # closing drains, it does not drop
-        assert queue.pop() is None
-
-    def test_close_wakes_blocked_consumers(self):
-        import threading
-
-        queue = WorkStealingQueue()
-        seen = []
-        thread = threading.Thread(
-            target=lambda: seen.append(queue.pop(timeout=30.0))
-        )
-        thread.start()
-        queue.close()
-        thread.join(timeout=5.0)
-        assert not thread.is_alive()
-        assert seen == [None]
+        monkeypatch.setattr(base, "analyze", slow_analyze)
+        base.clear_process_caches()
+        item = ("eos", DEFAULT_MACHINE, PrecisionConfig().to_json_dict(), 0.5)
+        assert _execute_work_item(item)[0] == "ok"

@@ -118,6 +118,8 @@ def test_kill_and_resume_equals_uninterrupted(
     with RunJournal(straight, "r", []) as journal:
         _append_all(journal, records)
     uninterrupted = load_run_state(straight / "r" / "journal.jsonl")
+    # a live journal's state is what a reader parses back from its file
+    assert _state_key(journal.state) == _state_key(uninterrupted)
 
     crashed = tmp_path / "crashed"
     path = crashed / "r" / "journal.jsonl"
@@ -137,6 +139,7 @@ def test_kill_and_resume_equals_uninterrupted(
     resumed = load_run_state(path)
 
     assert not resumed.torn_tail
+    assert _state_key(journal.state) == _state_key(resumed)
     assert _state_key(resumed) == _state_key(uninterrupted)
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import hypothesis.strategies as st
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from repro.core.checkpoint import JournalError, RunJournal, job_key
 from repro.errors import MixPBenchError
 from repro.harness.scheduler import run_grid, run_shard
+from repro.runtime.cache import EvaluationCache
 from repro.service import (
     GridSpec, JobRecord, QuotaExceeded, Scheduler, SchedulerHooks,
     ServiceDraining, ServiceError, ServiceJournal, SpecError, UnknownJob,
@@ -456,6 +458,109 @@ class TestScheduler:
         job = scheduler.status(job_id)["job"]
         assert "WorkerCrash" in job["error"]
         assert job["stats"]["redispatched_shards"] == 1
+
+    def test_redispatch_replays_the_dead_attempts_trials(self, data_env, monkeypatch):
+        """A worker that dies after journaling every trial of its shard
+        (here the final ``job_done`` append fails) is redispatched, and
+        the retry replays those trials from the run journal: nothing is
+        evaluated afresh, and the outcome is a direct grid's."""
+        holder: dict[str, Scheduler] = {}
+        append_job_done = RunJournal.append_job_done
+
+        def fail_once(journal, key, payload):
+            if "failed" not in holder:
+                holder["failed"] = True
+                # an empty shared cache: only the run journal can replay
+                holder["scheduler"].cache = EvaluationCache(data_env / "cold")
+                raise OSError("synthetic disk error")
+            append_job_done(journal, key, payload)
+
+        monkeypatch.setattr(RunJournal, "append_job_done", fail_once)
+        scheduler = Scheduler(data_env / "svc", workers=1, shard_retries=1)
+        holder["scheduler"] = scheduler
+        spec = small_spec()
+        scheduler.start()
+        try:
+            job_id = scheduler.submit(spec)
+            assert scheduler.wait_job(job_id, timeout=180) == "done"
+        finally:
+            scheduler.stop(drain=True)
+        stats = scheduler.status(job_id)["job"]["stats"]
+        assert stats["redispatched_shards"] == 1
+        assert stats["evaluations"] > 0
+        assert stats["fresh_evaluations"] == 0
+        direct = [r.to_json_dict() for r in run_grid(spec.jobs())]
+        served = json.loads(results_path(data_env / "svc", job_id).read_text())
+        assert stripped(served) == stripped(direct)
+
+    def test_shards_start_first_come_first_served(self, data_env):
+        """A small job queued ahead of a deeper one starts first, and
+        stopping wakes the idle worker."""
+        started: list[str] = []
+        scheduler = Scheduler(
+            data_env / "svc", workers=1,
+            hooks=SchedulerHooks(
+                shard_started=lambda job_id, key: started.append(job_id),
+            ),
+        )
+        small = scheduler.submit(small_spec())
+        deep = scheduler.submit(small_spec(algorithms=("DD", "GA")))
+        scheduler.start()
+        try:
+            for job_id in (small, deep):
+                assert scheduler.wait_job(job_id, timeout=180) == "done"
+        finally:
+            scheduler.stop(drain=True, timeout=30)
+        assert started == [small, deep, deep]
+        # stop woke the idle worker blocked on the empty queue
+        assert not [
+            thread for thread in threading.enumerate()
+            if thread.name.startswith("mixpbench-svc-")
+        ]
+
+    def test_stop_without_drain_starts_no_new_shard(self, data_env):
+        """``stop(drain=False)`` lets the running shard finish and starts
+        no other; a reopened scheduler restores that shard from the run
+        journal and runs the rest to a direct grid's results."""
+        root = data_env / "svc"
+        spec = small_spec(programs=("tridiag", "eos"), algorithms=("DD", "GA"))
+        started: list[str] = []
+        running = threading.Event()
+        holder: dict[str, Scheduler] = {}
+
+        def hold_first_shard(job_id: str, key: str) -> None:
+            started.append(key)
+            if len(started) > 1:
+                return
+            running.set()
+            deadline = time.monotonic() + 60
+            while not holder["scheduler"].status()["draining"]:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
+        scheduler = Scheduler(
+            root, workers=1, hooks=SchedulerHooks(shard_started=hold_first_shard),
+        )
+        holder["scheduler"] = scheduler
+        job_id = scheduler.submit(spec)
+        scheduler.start()
+        assert running.wait(timeout=60)
+        scheduler.stop(drain=False)
+        assert len(started) == 1
+        assert scheduler.status(job_id)["job"]["state"] == "running"
+
+        reopened = Scheduler(root, workers=1)
+        reopened.start()
+        try:
+            assert reopened.wait_job(job_id, timeout=300) == "done"
+        finally:
+            reopened.stop(drain=True)
+        stats = reopened.status(job_id)["job"]["stats"]
+        assert stats["shards_restored"] == 1
+        assert stats["shards_done"] == spec.shards
+        direct = [r.to_json_dict() for r in run_grid(spec.jobs())]
+        served = json.loads(results_path(root, job_id).read_text())
+        assert stripped(served) == stripped(direct)
 
     def test_unknown_job_and_bad_tenant(self, tmp_path):
         scheduler = Scheduler(tmp_path / "svc")
