@@ -12,7 +12,7 @@ equivalents live in tests/test_service.py and tests/test_service_cli.py):
    serial executor no second worker could overlap one, and the replay
    demands none;
 4. run the same grid directly through ``mixpbench grid`` and require
-   both tenants' results to be byte-identical to it, telemetry aside;
+   both tenants' parsed results to equal its, telemetry stripped;
 5. stop the daemon through its stop file and require a clean exit.
 
 Exit status 0 means a submitted job is indistinguishable from a direct
@@ -145,7 +145,8 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"FAIL: {tenant}'s {job_id} differs from the direct run",
                       file=sys.stderr)
                 return 1
-        print(f"      {len(direct)} shard(s) byte-identical for both tenants")
+        print(f"      {len(direct)} shard(s) equal for both tenants "
+              "(parsed payloads, telemetry stripped)")
 
         print("[5/5] stop the daemon via its stop file")
         (state_dir / "stop").touch()
@@ -157,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     if daemon.returncode != 0:
         print(f"FAIL: daemon exited {daemon.returncode}", file=sys.stderr)
         return 1
-    print("OK: search-as-a-service serves bytes indistinguishable from "
+    print("OK: search-as-a-service serves results indistinguishable from "
           "the one-shot grid")
     return 0
 

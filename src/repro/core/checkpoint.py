@@ -223,7 +223,9 @@ class JsonlJournal:
     def append(self, kind: str, **fields: Any) -> dict:
         """Durably append one record: one write, one flush, one fsync.
 
-        Returns the record as a reader of the file parses it back.
+        Returns the record it wrote, not parsed back: callers pass
+        JSON-native fields, which a reader of the file parses to an
+        equal record.
         """
         record = {"kind": kind}
         record.update(fields)
@@ -232,7 +234,7 @@ class JsonlJournal:
             self._handle.write(line.encode())
             self._handle.flush()
             os.fsync(self._handle.fileno())
-        return json.loads(line)
+        return record
 
     def close(self) -> None:
         with self._lock:
@@ -256,7 +258,8 @@ class RunJournal(JsonlJournal):
     Appends are thread-safe — grid workers journal concurrently — and
     :attr:`state` follows the file: each ``append_*`` applies the record
     it wrote, so ``state`` equals what :func:`load_run_state` would
-    parse back (a job's records all come from the thread running it).
+    parse back (a job's records all come from the thread running it,
+    and their payloads are JSON-native).
     """
 
     def __init__(

@@ -500,13 +500,7 @@ class ConfigurationEvaluator:
         )
         if payload is None:
             return None
-        stored = TrialRecord.from_json_dict(payload)
-        record = TrialRecord(
-            index=index, config=config, status=stored.status,
-            error_value=stored.error_value, speedup=stored.speedup,
-            modeled_seconds=stored.modeled_seconds,
-            analysis_seconds=stored.analysis_seconds,
-        )
+        record = TrialRecord.replay(payload, index, config)
         self.analysis_seconds += record.analysis_seconds
         self.stats.persistent_hits += 1
         if record.status is EvaluationStatus.COMPILE_ERROR:

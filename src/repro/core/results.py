@@ -68,15 +68,32 @@ class TrialRecord:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "TrialRecord":
+        return cls.replay(
+            payload, int(payload["index"]),
+            PrecisionConfig.from_json_dict(payload["config"]),
+            from_cache=bool(payload.get("from_cache", False)),
+        )
+
+    @classmethod
+    def replay(
+        cls,
+        payload: Mapping,
+        index: int,
+        config: PrecisionConfig,
+        from_cache: bool = False,
+    ) -> "TrialRecord":
+        """A stored trial's status, error, speedup and costs as trial
+        ``index`` of ``config``: the payload's own index and config are
+        neither parsed nor kept (a cache replay already holds both)."""
         return cls(
-            index=int(payload["index"]),
-            config=PrecisionConfig.from_json_dict(payload["config"]),
+            index=index,
+            config=config,
             status=EvaluationStatus(payload["status"]),
             error_value=_parse_float(payload.get("error_value")),
             speedup=_parse_float(payload.get("speedup")),
             modeled_seconds=_parse_float(payload.get("modeled_seconds")),
             analysis_seconds=float(payload.get("analysis_seconds", 0.0)),
-            from_cache=bool(payload.get("from_cache", False)),
+            from_cache=from_cache,
         )
 
 

@@ -678,10 +678,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    import json
     from pathlib import Path
 
-    from repro.harness.scheduler import grid_jobs, run_grid
+    from repro.harness.scheduler import grid_jobs, run_grid, write_results
 
     output_dir = Path(args.output_dir)
     run_id = args.run_id or args.resume
@@ -733,9 +732,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     if run_id is not None:
         results_path = output_dir / "runs" / run_id / "results.json"
         results_path.parent.mkdir(parents=True, exist_ok=True)
-        results_path.write_text(json.dumps(
-            [r.to_json_dict() for r in results], indent=2, sort_keys=True,
-        ))
+        write_results(results_path, results)
         print(f"\nresults saved to {results_path}")
     return 1 if failed else 0
 

@@ -22,6 +22,7 @@ are bit-identical to an uninterrupted run's.
 
 from __future__ import annotations
 
+import json
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from repro.verify.quality import QualitySpec
 
 __all__ = [
     "SearchJob", "JobResult", "run_grid", "run_shard", "grid_jobs",
-    "restore_finished",
+    "restore_finished", "write_results",
 ]
 
 
@@ -103,6 +104,20 @@ class JobResult:
             error=payload.get("error"),
             error_kind=payload.get("error_kind"),
         )
+
+
+def write_results(path: str | Path, results: Iterable[JobResult]) -> None:
+    """Save a grid's results as compact, key-sorted interchange JSON.
+
+    The one writer of ``results.json``, for ``mixpbench grid --run-id``
+    and the service alike, so both write the same bytes for the same
+    results.  No ``indent``: CPython's C encoder does not indent, and an
+    indented payload costs several times as long to encode (read it with
+    ``python -m json.tool``).
+    """
+    Path(path).write_text(json.dumps(
+        [result.to_json_dict() for result in results], sort_keys=True,
+    ))
 
 
 def grid_jobs(

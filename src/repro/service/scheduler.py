@@ -41,7 +41,9 @@ from typing import Callable
 from repro.core.checkpoint import JournalError, RunJournal, job_key
 from repro.errors import MixPBenchError
 from repro.harness.options import as_count
-from repro.harness.scheduler import JobResult, SearchJob, restore_finished, run_shard
+from repro.harness.scheduler import (
+    JobResult, SearchJob, restore_finished, run_shard, write_results,
+)
 from repro.runtime.cache import EvaluationCache
 from repro.service.queue import ServiceJournal, state_paths
 from repro.service.spec import GridSpec, JobRecord
@@ -545,12 +547,9 @@ class Scheduler:
         if state != "cancelled":
             job_dir = self.paths["jobs"] / record.job_id
             job_dir.mkdir(parents=True, exist_ok=True)
-            # byte-for-byte the payload `mixpbench grid` saves for the
-            # same spec (the attach/grid equivalence contract)
-            (job_dir / "results.json").write_text(json.dumps(
-                [result.to_json_dict() for result in results],
-                indent=2, sort_keys=True,
-            ))
+            # the writer `mixpbench grid` saves with (the attach/grid
+            # equivalence contract)
+            write_results(job_dir / "results.json", results)
         active.journal.close()
         self._set_state(record, state, error=error, stats=stats)
         self._active.pop(record.job_id, None)

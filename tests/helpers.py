@@ -10,6 +10,8 @@ exercised against it in microseconds, with fully predictable optima.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from repro.core.program import ExecutionResult
@@ -18,7 +20,18 @@ from repro.core.variables import Cluster, Granularity, SearchSpace, Variable, Va
 from repro.runtime.profiler import OpClass, Profile
 from repro.verify.quality import QualitySpec
 
-__all__ = ["ToyProgram", "make_space"]
+__all__ = ["ToyProgram", "make_space", "subprocess_env"]
+
+
+def subprocess_env(**fields: str) -> dict[str, str]:
+    """A from-scratch environment for a Python subprocess: a system
+    ``PATH`` plus ``fields``.  ``PYTHONDONTWRITEBYTECODE`` is copied
+    through when set, so a test run that keeps bytecode out of the
+    checkout keeps it out of its subprocesses too."""
+    env = {"PATH": "/usr/bin:/bin", **fields}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
 
 
 def make_space(

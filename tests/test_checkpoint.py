@@ -312,3 +312,39 @@ class TestGridCollection:
         restored = JobResult.from_json_dict(payload, job)
         assert restored.error_kind == "OSError"
         assert not restored.ok
+
+
+class TestLiveState:
+    def test_state_equals_the_parsed_file(self, data_env, tmp_path, monkeypatch):
+        """``RunJournal.state`` applies the records it wrote, not the
+        records parsed back from its file: for an ok shard, an error
+        shard (with its traceback), a prune+shadow+screen shard and an
+        in-flight shard it must still equal what a reader parses."""
+        jobs = [
+            SearchJob("tridiag", "DD", 1e-6, max_evaluations=4),
+            SearchJob("tridiag", "NOPE", 1e-6),
+            SearchJob(
+                "eos", "DD", 1e-6, max_evaluations=6,
+                prune=True, shadow=True, screen=True,
+            ),
+            SearchJob("tridiag", "GA", 1e-6, max_evaluations=4),
+        ]
+        with RunJournal(tmp_path, "r", jobs) as journal:
+            results = [
+                scheduler.run_shard(job, journal=journal, key=job_key(index, job))
+                for index, job in enumerate(jobs[:3])
+            ]
+            # the last shard dies before its job_done record
+            monkeypatch.setattr(RunJournal, "append_job_done", lambda *args: None)
+            scheduler.run_shard(jobs[3], journal=journal, key=job_key(3, jobs[3]))
+            live = journal.state
+        assert [result.ok for result in results] == [True, False, True]
+        assert "Traceback" in results[1].error
+        assert set(results[2].outcome.metadata) >= {"prune", "shadow", "screen"}
+        parsed = load_run_state(tmp_path / "r" / "journal.jsonl")
+        assert len(live.finished) == 3
+        assert list(live.trials) == [job_key(3, jobs[3])]
+        for field in ("meta", "finished", "trials"):
+            assert json.dumps(getattr(live, field), sort_keys=True) == json.dumps(
+                getattr(parsed, field), sort_keys=True,
+            ), field

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import subprocess_env
+
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 
 EXPECTED_MARKERS = {
@@ -21,9 +23,10 @@ def _run(name: str, tmp_path) -> str:
     result = subprocess.run(
         [sys.executable, str(EXAMPLES_DIR / name)],
         capture_output=True, text=True, timeout=600,
-        env={"PATH": "/usr/bin:/bin", "MIXPBENCH_DATA": str(tmp_path),
-             "HOME": str(tmp_path),
-             "PYTHONPATH": str(EXAMPLES_DIR.parent / "src")},
+        env=subprocess_env(
+            MIXPBENCH_DATA=str(tmp_path), HOME=str(tmp_path),
+            PYTHONPATH=str(EXAMPLES_DIR.parent / "src"),
+        ),
     )
     assert result.returncode == 0, result.stderr[-2000:]
     return result.stdout

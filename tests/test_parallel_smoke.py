@@ -14,6 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import subprocess_env
+
 REPO_ROOT = Path(__file__).parent.parent
 
 
@@ -21,9 +23,10 @@ def run_cli(args, tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "repro.harness.cli", *args],
         capture_output=True, text=True, timeout=600, cwd=REPO_ROOT,
-        env={"PATH": "/usr/bin:/bin", "HOME": str(tmp_path),
-             "MIXPBENCH_DATA": str(tmp_path / "data"),
-             "PYTHONPATH": str(REPO_ROOT / "src")},
+        env=subprocess_env(
+            HOME=str(tmp_path), MIXPBENCH_DATA=str(tmp_path / "data"),
+            PYTHONPATH=str(REPO_ROOT / "src"),
+        ),
     )
     assert result.returncode == 0, result.stderr[-2000:]
     return result.stdout

@@ -8,12 +8,15 @@ time changes.
 """
 
 import json
+import math
 
 import pytest
 
 from helpers import ToyProgram
 
 from repro.core.evaluator import ConfigurationEvaluator
+from repro.core.results import EvaluationStatus
+from repro.core.variables import Granularity
 from repro.runtime import cache as cache_module
 from repro.runtime.cache import EvaluationCache, context_fingerprint
 from repro.search.registry import make_strategy
@@ -108,8 +111,6 @@ class TestReplayAcrossInstances:
                 program, measurement_noise=0.0, cache=cache,
             )
 
-        from repro.core.variables import Granularity
-
         program1, evaluator1 = build(tmp_path)
         # lower a single member of a two-member cluster: not compilable
         variable_space = program1.search_space(Granularity.VARIABLE)
@@ -123,6 +124,51 @@ class TestReplayAcrossInstances:
         assert trial2.analysis_seconds == trial1.analysis_seconds
         assert evaluator2.stats.persistent_hits == 1
         assert evaluator2.stats.compile_errors == 1
+
+    def test_replay_equals_the_stored_trial_but_its_index(self, tmp_path):
+        """A replay builds its trial from the stored status and floats
+        alone, with the evaluator's index and the caller's config; every
+        other field must equal the trial that was stored: statuses (a
+        compile error among them), NaNs, costs and counters included."""
+        def build():
+            program = ToyProgram(n_clusters=2, members_per_cluster=2, toxic=(1,))
+            return ConfigurationEvaluator(
+                program, measurement_noise=0.0,
+                cache=EvaluationCache(tmp_path / "cache"),
+            )
+
+        evaluator1 = build()
+        space = evaluator1.space()
+        variable_space = evaluator1.program.search_space(Granularity.VARIABLE)
+        configs = [
+            space.lower(space.locations()[0]),   # passes
+            space.lower(space.locations()[1]),   # toxic: fails quality
+            variable_space.lower(variable_space.locations()[0]),  # splits a cluster
+        ]
+        fresh = [evaluator1.evaluate(config) for config in configs]
+        assert {t.status for t in fresh} == {
+            EvaluationStatus.PASSED, EvaluationStatus.FAILED_QUALITY,
+            EvaluationStatus.COMPILE_ERROR,
+        }
+        assert any(math.isnan(t.error_value) and math.isnan(t.speedup) for t in fresh)
+
+        evaluator2 = build()
+        order = [2, 0, 1]  # replay indices differ from the stored ones
+        replayed = [evaluator2.evaluate(configs[i]) for i in order]
+        for position, (i, trial) in enumerate(zip(order, replayed), start=1):
+            stored = fresh[i]
+            assert trial.index == position != stored.index
+            assert trial.config is configs[i]
+            assert trial.from_cache is False
+            assert trial.status is stored.status
+            assert trial.analysis_seconds == stored.analysis_seconds
+            for name in ("error_value", "speedup", "modeled_seconds"):
+                got, want = getattr(trial, name), getattr(stored, name)
+                assert got == want or (math.isnan(got) and math.isnan(want)), name
+        assert evaluator2.stats.persistent_hits == 3
+        assert evaluator2.stats.fresh_evaluations == 0
+        assert evaluator2.stats.compile_errors == evaluator1.stats.compile_errors == 1
+        assert evaluator2.analysis_seconds == evaluator1.analysis_seconds
 
 
 class TestCacheStore:

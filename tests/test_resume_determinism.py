@@ -26,6 +26,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import subprocess_env
 from repro.harness.scheduler import SearchJob, run_grid
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -121,11 +122,10 @@ GRID_ARGS = [
 
 
 def _cli_env(tmp_path):
-    return {
-        "PATH": "/usr/bin:/bin", "HOME": str(tmp_path),
-        "MIXPBENCH_DATA": str(tmp_path / "data"),
-        "PYTHONPATH": str(REPO_ROOT / "src"),
-    }
+    return subprocess_env(
+        HOME=str(tmp_path), MIXPBENCH_DATA=str(tmp_path / "data"),
+        PYTHONPATH=str(REPO_ROOT / "src"),
+    )
 
 
 def _run_cli(args, tmp_path):

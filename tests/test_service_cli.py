@@ -15,11 +15,16 @@ import signal
 import subprocess
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import pytest
 
+from repro.harness import scheduler as harness_scheduler
 from repro.harness.cli import build_parser, main
+from repro.harness.scheduler import JobResult, run_grid, write_results
+from repro.service import GridSpec, Scheduler, results_path
+from repro.service import scheduler as service_scheduler
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -91,6 +96,67 @@ def _stripped(payload: list[dict]) -> list[dict]:
     for row in out:
         (row.get("outcome") or {}).get("metadata", {}).pop("eval_stats", None)
     return out
+
+
+class TestResultsWriter:
+    """``results.json`` has one writer, shared by ``mixpbench grid
+    --run-id`` and the service."""
+
+    @staticmethod
+    def _results():
+        spec = GridSpec(
+            programs=("tridiag",), algorithms=("DD", "GA"), thresholds=(1e-8,),
+            max_evaluations=4,
+        )
+        results = run_grid(spec.jobs())
+        try:
+            raise RuntimeError("synthetic \"failure\"")
+        except RuntimeError:
+            results[1] = JobResult(
+                job=results[1].job, error=traceback.format_exc(),
+                error_kind="RuntimeError",
+            )
+        return spec, results
+
+    def test_compact_sorted_json_of_the_payloads(self, tmp_path, data_env):
+        _, results = self._results()
+        path = tmp_path / "results.json"
+        write_results(path, results)
+        payload = [result.to_json_dict() for result in results]
+        assert json.loads(path.read_text()) == payload
+        assert path.read_text() == json.dumps(payload, sort_keys=True)
+
+    def test_service_and_grid_write_the_same_bytes(
+        self, tmp_path, capsys, data_env, monkeypatch
+    ):
+        spec, results = self._results()
+        by_label = {result.job.label(): result for result in results}
+        # both paths serialise these very results, whatever they compute
+        monkeypatch.setattr(
+            harness_scheduler, "run_grid", lambda jobs, **kwargs: list(results),
+        )
+        monkeypatch.setattr(
+            service_scheduler, "run_shard",
+            lambda shard, **kwargs: by_label[shard.label()],
+        )
+        assert main([
+            "grid", "--programs", "tridiag", "--algorithms", "DD", "GA",
+            "--thresholds", "1e-8", "--max-evaluations", "4",
+            "--run-id", "direct", "--output-dir", str(tmp_path / "direct"),
+            "--no-cache",
+        ]) == 1  # the failed shard
+        capsys.readouterr()
+        service = Scheduler(tmp_path / "svc", workers=1)
+        service.start()
+        try:
+            job_id = service.submit(spec)
+            assert service.wait_job(job_id, timeout=60) == "failed"
+        finally:
+            service.stop(drain=True)
+        grid_bytes = (
+            tmp_path / "direct" / "runs" / "direct" / "results.json"
+        ).read_bytes()
+        assert results_path(tmp_path / "svc", job_id).read_bytes() == grid_bytes
 
 
 class TestEndToEnd:
