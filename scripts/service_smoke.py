@@ -128,7 +128,9 @@ def main(argv: list[str] | None = None) -> int:
         staged = staging_shards(saved["bob"][1])
         if staged:
             print("FAIL: the second tenant's replay staged executions "
-                  f"the serial executor cannot overlap: {', '.join(staged)}",
+                  f"the serial executor cannot overlap: {', '.join(staged)} "
+                  "(GA stages its generations here if the two-worker "
+                  "gate regressed)",
                   file=sys.stderr)
             return 1
 

@@ -77,32 +77,13 @@ from repro.core.types import PrecisionConfig
 
 __all__ = [
     "ExecutionFailure", "FaultPolicy", "BatchExecutor", "SerialExecutor",
-    "ThreadExecutor", "ProcessExecutor", "make_executor",
-    "chunked", "EXECUTOR_NAMES", "DEFAULT_BATCH_SIZE",
+    "ThreadExecutor", "ProcessExecutor", "make_executor", "EXECUTOR_NAMES",
 ]
 
 EXECUTOR_NAMES = ("serial", "thread", "process")
 
-#: how many configurations the batching strategies hand to
-#: ``evaluate_many`` at a time
-DEFAULT_BATCH_SIZE = 32
-
 #: exceptions that mean "the worker process is gone", not "the work is bad"
 _POOL_FAILURES = (BrokenProcessPool, BrokenPipeError, EOFError)
-
-
-def chunked(iterable, size: int):
-    """Yield lists of up to ``size`` items, preserving order."""
-    if size < 1:
-        raise ValueError("chunk size must be positive")
-    chunk: list = []
-    for item in iterable:
-        chunk.append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk
 
 #: exception types the evaluator treats as a runtime error of the
 #: configuration (not of the harness)

@@ -88,16 +88,8 @@ def _job_payload(job: Any) -> dict:
 
 
 def job_key(index: int, job: Any) -> str:
-    """Journal identifier of one job: position plus human-readable label.
-
-    A job whose label cannot be computed (say, an unknown algorithm
-    name) still needs a stable key — its *failure* is journaled too —
-    so fall back to the raw field values.
-    """
-    try:
-        label = job.label() if hasattr(job, "label") else str(job)
-    except Exception:  # noqa: BLE001 — key must always be derivable
-        label = f"{job.program}/{job.algorithm}@{job.threshold:g}"
+    """Journal identifier of one job: position plus human-readable label."""
+    label = job.label() if hasattr(job, "label") else str(job)
     return f"{index:04d}:{label}"
 
 

@@ -21,14 +21,16 @@ increment the evaluated-configurations counter EV).
 
 Two further layers sit on top of the serial contract:
 
-* **Batching** — :meth:`ConfigurationEvaluator.prefetch` fans the raw
-  executions of not-yet-seen configurations out to a pluggable
-  :class:`~repro.core.batch.BatchExecutor`; the bookkeeping (trial
-  index, budget, quality check) is then replayed serially, so
-  :meth:`evaluate_many` produces a trial log bit-identical to calling
-  :meth:`evaluate` in a loop.  Batches run only on an executor with
-  two or more workers; with fewer, nothing could overlap, and every
-  configuration executes in-line when the search reaches it.
+* **Batching** — :meth:`ConfigurationEvaluator.evaluate_many` is how a
+  search hands over a batch: it takes the configurations
+  ``BATCH_SIZE`` at a time, fans the raw executions of not-yet-seen
+  ones out to a pluggable :class:`~repro.core.batch.BatchExecutor`
+  (:meth:`prefetch`), and replays the bookkeeping (trial index,
+  budget, quality check) serially, so its trial log is bit-identical
+  to calling :meth:`evaluate` in a loop.  Batches run only on an
+  executor with two or more workers; with fewer, nothing could
+  overlap, and every configuration executes in-line when the search
+  reaches it.
 * **Persistence** — with an
   :class:`~repro.runtime.cache.EvaluationCache` attached, every fresh
   evaluation is written to disk and replayed on later runs.  A replay
@@ -42,7 +44,8 @@ import enum
 import hashlib
 import math
 import time
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
@@ -60,6 +63,10 @@ from repro.runtime.machine import DEFAULT_MACHINE, MachineModel
 __all__ = ["ConfigurationEvaluator", "DEFAULT_TIME_LIMIT", "TimingMode", "measured_seconds"]
 
 DEFAULT_TIME_LIMIT = 24 * 3600.0  # the paper's per-search limit
+
+#: how many configurations :meth:`ConfigurationEvaluator.evaluate_many`
+#: takes from its stream per batch
+BATCH_SIZE = 32
 
 
 class TimingMode(enum.Enum):
@@ -378,22 +385,24 @@ class ConfigurationEvaluator:
         return record
 
     def prefetch(self, configs: Iterable[PrecisionConfig]) -> int:
-        """Speculatively execute configurations on the batch executor.
+        """Execute configurations ahead of their evaluation on the batch
+        executor.
 
         Only configurations that would actually execute are shipped:
         repeats, persistent-cache hits, non-compilable candidates and
         already-staged configurations are filtered out.  Results are
         staged so a later :meth:`evaluate` consumes them instead of
         executing — budget accounting, trial order and indices are
-        untouched.  A no-op without an executor, and under wall-clock
-        timing (concurrent wall timings would not be comparable).
+        untouched.  Every staged configuration is evaluated unless the
+        budget stops the search mid-batch.  A no-op without an
+        executor, and under wall-clock timing (concurrent wall timings
+        would not be comparable).
 
         Also a no-op on an executor with fewer than two workers: the
         batch would run while the search waits, so nothing overlaps,
-        and a staged configuration the search never reaches (a sibling
-        made moot, the tail of a capped generation) would be pure
-        waste.  In-line, each configuration executes only once the
-        search reaches it.  The requested ``workers`` decides, not a
+        and the tail of a batch the budget cuts would be pure waste.
+        In-line, each configuration executes only once the search
+        reaches it.  The requested ``workers`` decides, not a
         CPU-capped pool size, so the rule and the counters it moves
         are the same on every host (a pool that a one-CPU host caps
         at one process still stages, without overlap).
@@ -440,19 +449,24 @@ class ConfigurationEvaluator:
             )
         return len(pending)
 
-    def evaluate_many(
-        self, configs: Sequence[PrecisionConfig]
-    ) -> list[TrialRecord]:
-        """Evaluate a batch: parallel execution, serial bookkeeping.
+    def evaluate_many(self, configs: Iterable[PrecisionConfig]) -> list[TrialRecord]:
+        """Evaluate a stream of configurations: parallel execution,
+        serial bookkeeping.
 
         Equivalent to ``[self.evaluate(c) for c in configs]`` in every
         observable way (trial log, EV, simulated clock, budget
-        exhaustion point); the raw executions of cache misses are
-        computed on the executor first.
+        exhaustion point).  The stream is consumed lazily,
+        ``BATCH_SIZE`` configurations at a time, and the raw executions
+        of each batch's cache misses are computed on the executor
+        first: a search the budget stops draws no further than the
+        batch it stopped in.
         """
-        configs = list(configs)
-        self.prefetch(configs)
-        return [self.evaluate(config) for config in configs]
+        stream = iter(configs)
+        trials: list[TrialRecord] = []
+        while batch := list(islice(stream, BATCH_SIZE)):
+            self.prefetch(batch)
+            trials.extend(self.evaluate(config) for config in batch)
+        return trials
 
     # -- internals -----------------------------------------------------------
     def _run_cost(self, modeled_seconds: float) -> float:

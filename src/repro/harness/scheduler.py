@@ -34,6 +34,7 @@ from repro.core.checkpoint import (
     DEFAULT_RUNS_DIR, JournalTrialStore, RunJournal, job_key,
 )
 from repro.core.results import SearchOutcome
+from repro.errors import MixPBenchError
 from repro.harness.options import SearchOptions, build_evaluator
 from repro.runtime.cache import EvaluationCache
 from repro.search.registry import canonical_name, make_strategy, strategy_kwargs
@@ -64,7 +65,13 @@ class SearchJob(SearchOptions):
     cache_dir: str | None = None
 
     def label(self) -> str:
-        return f"{self.program}/{canonical_name(self.algorithm)}@{self.threshold:g}"
+        """``program/ALGO@threshold``; an unknown algorithm name is
+        shown as given (the shard itself then fails cleanly)."""
+        try:
+            algorithm = canonical_name(self.algorithm)
+        except MixPBenchError:
+            algorithm = self.algorithm
+        return f"{self.program}/{algorithm}@{self.threshold:g}"
 
 
 @dataclass

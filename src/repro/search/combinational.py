@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from repro.core.batch import DEFAULT_BATCH_SIZE, chunked
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.types import Precision, PrecisionConfig
 from repro.search.base import SearchStrategy
@@ -36,32 +35,28 @@ class CombinationalSearch(SearchStrategy):
         max_locations: int = 24,
         levels: tuple[Precision, ...] | None = None,
         max_configurations: int = 4096,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ) -> None:
         """``max_locations`` guards against accidentally launching an
         intractable 2^n enumeration; the budget would stop it anyway,
         but failing fast is kinder.  Passing ``levels`` (e.g.
         ``(Precision.HALF, Precision.SINGLE, Precision.DOUBLE)``)
         switches to the full multi-level ``p ** loc`` enumeration,
-        bounded by ``max_configurations``.  The enumeration is consumed
-        in ``batch_size`` chunks through the evaluator's batch API, so
-        a parallel executor can overlap the independent executions."""
+        bounded by ``max_configurations``.  The enumeration streams
+        through the evaluator's batch API, so a parallel executor can
+        overlap the independent executions."""
         self.max_locations = max_locations
         self.levels = tuple(levels) if levels else None
         self.max_configurations = max_configurations
-        self.batch_size = batch_size
 
     def _best_of(self, evaluator: ConfigurationEvaluator, configs):
-        """Chunked evaluation of an enumeration stream, keeping the
-        fastest passing configuration (first wins ties, like the
-        serial loop did)."""
+        """Evaluate an enumeration stream, keeping the fastest passing
+        configuration (first wins ties, like the serial loop did)."""
         best: PrecisionConfig | None = None
         best_speedup = float("-inf")
-        for chunk in chunked(configs, self.batch_size):
-            for trial in evaluator.evaluate_many(chunk):
-                if trial.passed and trial.speedup > best_speedup:
-                    best = trial.config
-                    best_speedup = trial.speedup
+        for trial in evaluator.evaluate_many(configs):
+            if trial.passed and trial.speedup > best_speedup:
+                best = trial.config
+                best_speedup = trial.speedup
         return best
 
     def describe(self) -> dict:

@@ -79,10 +79,7 @@ class GeneticSearch(SearchStrategy):
             asc = [position[loc] for loc in reversed(ranked)]
 
         def to_config(genome: np.ndarray) -> PrecisionConfig:
-            lowered = [loc for loc, bit in zip(locations, genome) if bit]
-            if not lowered:
-                return PrecisionConfig()
-            return self._lower(space, lowered)
+            return self._lower(space, [loc for loc, bit in zip(locations, genome) if bit])
 
         threshold = evaluator.quality.threshold
 
@@ -101,21 +98,16 @@ class GeneticSearch(SearchStrategy):
                 return 0.01
             return 0.5 * threshold / (threshold + error)
 
-        def evaluate_genome(genome: np.ndarray) -> tuple[float, TrialRecord | None]:
-            if not genome.any():
-                return fitness(None), None
-            trial = evaluator.evaluate(to_config(genome))
-            return fitness(trial), trial
-
         def evaluate_population(genomes) -> list[tuple[float, TrialRecord | None]]:
-            # A generation is embarrassingly parallel: fan the raw
-            # executions out first, then score serially (the replayed
-            # bookkeeping keeps the trial log identical to one-by-one
-            # evaluation).
-            evaluator.prefetch(
-                to_config(genome) for genome in genomes if genome.any()
-            )
-            return [evaluate_genome(genome) for genome in genomes]
+            # A generation is embarrassingly parallel: one batch call
+            # evaluates its non-empty genomes (the empty genome is the
+            # unchanged program and needs no trial).
+            trials = iter(evaluator.evaluate_many(to_config(g) for g in genomes if g.any()))
+            scored = []
+            for genome in genomes:
+                trial = next(trials) if genome.any() else None
+                scored.append((fitness(trial), trial))
+            return scored
 
         # Random initial population with graded density plus a few
         # random singletons: sparse individuals are far more likely to

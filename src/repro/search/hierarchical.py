@@ -56,23 +56,6 @@ class HierarchicalSearch(SearchStrategy):
             trial = evaluator.evaluate(self._lower(space, sorted(candidate)))
             return trial.passed
 
-        def prefetch_children(node: HierarchyNode) -> None:
-            # Speculate on the refinement level: each sibling's
-            # candidate (assuming the ones before it fail) can execute
-            # in parallel.  A sibling that *does* pass invalidates the
-            # speculation for the ones after it — their staged results
-            # simply go unused; trial order and accounting are
-            # untouched because only the serial walk records trials.
-            # The evaluator stages nothing when no second worker could
-            # overlap the batch with the walk.
-            if len(node.children) < 2:
-                return
-            evaluator.prefetch(
-                self._lower(space, sorted(converted | pending))
-                for child in node.children
-                if (pending := child.variables - converted)
-            )
-
         def visit(node: HierarchyNode) -> None:
             pending = node.variables - converted
             if not pending:
@@ -80,7 +63,6 @@ class HierarchicalSearch(SearchStrategy):
             if try_group(pending):
                 converted.update(pending)
                 return
-            prefetch_children(node)
             for child in node.children:
                 visit(child)
 

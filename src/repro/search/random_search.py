@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.batch import DEFAULT_BATCH_SIZE, chunked
 from repro.core.evaluator import ConfigurationEvaluator
 from repro.core.types import PrecisionConfig
 from repro.search.base import SearchStrategy
@@ -24,15 +23,11 @@ class RandomSearch(SearchStrategy):
 
     strategy_name = "random"
 
-    def __init__(
-        self, budget: int = 30, seed: int = 2020,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ) -> None:
+    def __init__(self, budget: int = 30, seed: int = 2020) -> None:
         if budget < 1:
             raise ValueError("budget must be positive")
         self.budget = budget
         self.seed = seed
-        self.batch_size = batch_size
 
     def describe(self) -> dict:
         info = super().describe()
@@ -62,9 +57,8 @@ class RandomSearch(SearchStrategy):
 
         best: PrecisionConfig | None = None
         best_speedup = float("-inf")
-        for chunk in chunked(samples, self.batch_size):
-            for trial in evaluator.evaluate_many(chunk):
-                if trial.passed and trial.speedup > best_speedup:
-                    best = trial.config
-                    best_speedup = trial.speedup
+        for trial in evaluator.evaluate_many(samples):
+            if trial.passed and trial.speedup > best_speedup:
+                best = trial.config
+                best_speedup = trial.speedup
         return best

@@ -7,18 +7,20 @@ a configuration, all bookkeeping is replayed serially, so a parallel
 run's trial log is bit-identical to the serial one.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from helpers import ToyProgram
 
 from repro.core.batch import (
-    DEFAULT_BATCH_SIZE, EXECUTOR_NAMES, ExecutionFailure, ProcessExecutor,
-    SerialExecutor, ThreadExecutor, chunked,
-    execute_guarded, make_executor,
+    EXECUTOR_NAMES, ExecutionFailure, ProcessExecutor, SerialExecutor,
+    ThreadExecutor, execute_guarded, make_executor,
 )
-from repro.core.evaluator import ConfigurationEvaluator, TimingMode
+from repro.core.evaluator import BATCH_SIZE, ConfigurationEvaluator, TimingMode
 from repro.core.telemetry import EvalStats
+from repro.errors import SearchBudgetExceeded
 from repro.search.registry import make_strategy
 
 
@@ -45,24 +47,6 @@ def run_strategy(algorithm, executor=None):
     )
     outcome = make_strategy(algorithm).run(evaluator)
     return program, evaluator, outcome
-
-
-class TestChunked:
-    def test_even_split(self):
-        assert list(chunked(range(6), 2)) == [[0, 1], [2, 3], [4, 5]]
-
-    def test_ragged_tail(self):
-        assert list(chunked(range(5), 2)) == [[0, 1], [2, 3], [4]]
-
-    def test_consumes_generators(self):
-        assert list(chunked((i for i in range(3)), 10)) == [[0, 1, 2]]
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            list(chunked(range(3), 0))
-
-    def test_default_batch_size_positive(self):
-        assert DEFAULT_BATCH_SIZE >= 1
 
 
 class TestExecutors:
@@ -171,7 +155,7 @@ class TestPrefetchReplay:
             assert evaluator.analysis_seconds > 0
         assert logs[0] == logs[1]
 
-    @pytest.mark.parametrize("algorithm", ["CB", "GA", "HR", "HRC", "HC"])
+    @pytest.mark.parametrize("algorithm", ["CB", "RS", "GA", "HR", "HRC", "HC"])
     def test_strategy_trial_logs_identical_across_executors(self, algorithm):
         _, serial_eval, serial_outcome = run_strategy(algorithm)
         with ThreadExecutor(4) as executor:
@@ -198,11 +182,24 @@ class TestPrefetchGate:
         assert program.executions == 1 + stats.fresh_evaluations - stats.compile_errors
         assert outcome_payload(outcome) == outcome_payload(run_strategy(algorithm)[2])
 
-    @pytest.mark.parametrize("algorithm", ["GA", "HR", "HRC"])
+    @pytest.mark.parametrize("algorithm", ["GA", "CB", "RS"])
     def test_two_workers_still_stage(self, algorithm):
         with ThreadExecutor(2) as executor:
             _, evaluator, _ = run_strategy(algorithm, executor)
         assert evaluator.stats.prefetched_executions > 0
+
+    @pytest.mark.parametrize("algorithm", ["HR", "HRC"])
+    def test_hierarchical_searches_stage_nothing(self, algorithm):
+        # the walk evaluates only what it reaches, on any executor
+        _, serial_eval, serial_outcome = run_strategy(algorithm)
+        with ThreadExecutor(2) as executor:
+            program, evaluator, outcome = run_strategy(algorithm, executor)
+        stats = evaluator.stats
+        assert stats.prefetched_executions == 0
+        assert stats.batches == 0
+        assert program.executions == 1 + stats.fresh_evaluations - stats.compile_errors
+        assert trial_log(evaluator) == trial_log(serial_eval)
+        assert outcome_payload(outcome) == outcome_payload(serial_outcome)
 
     def test_requested_workers_decide_not_the_pool_size(self, monkeypatch):
         # a one-CPU host caps the process pool at one process; the
@@ -235,6 +232,95 @@ class TestPrefetchGate:
             assert len(trials) == expected
             payloads.append(outcome_payload(result.outcome))
         assert payloads[0] == payloads[1]
+
+
+class TestChunked:
+    """``evaluate_many`` hands ``prefetch`` full ``BATCH_SIZE`` batches
+    and one shorter tail batch, in stream order."""
+
+    @staticmethod
+    def batch_sizes(count, monkeypatch):
+        import repro.core.evaluator as evaluator_module
+        monkeypatch.setattr(evaluator_module, "BATCH_SIZE", 2)
+        evaluator = ConfigurationEvaluator(
+            ToyProgram(n_clusters=6), measurement_noise=0.0,
+        )
+        space = evaluator.space()
+        configs = [space.lower([loc]) for loc in space.locations()[:count]]
+        sizes = []
+        prefetch = evaluator.prefetch
+
+        def spy(batch):
+            sizes.append(len(batch))
+            return prefetch(batch)
+
+        monkeypatch.setattr(evaluator, "prefetch", spy)
+        trials = evaluator.evaluate_many(iter(configs))
+        assert [t.config for t in trials] == configs
+        return sizes
+
+    def test_even_split(self, monkeypatch):
+        assert self.batch_sizes(6, monkeypatch) == [2, 2, 2]
+
+    def test_ragged_tail(self, monkeypatch):
+        assert self.batch_sizes(5, monkeypatch) == [2, 2, 1]
+
+
+class TestEvaluateManyStream:
+    """``evaluate_many`` takes any iterable ``BATCH_SIZE`` configurations
+    at a time, never all of it at once."""
+
+    @staticmethod
+    def subsets(space, count):
+        """The first ``count`` distinct non-empty lowered subsets."""
+        locations = space.locations()
+        stream = (
+            space.lower(list(subset))
+            for size in range(1, len(locations) + 1)
+            for subset in combinations(locations, size)
+        )
+        return [config for config, _ in zip(stream, range(count))]
+
+    def test_stream_runs_in_batches_with_the_serial_trial_log(self):
+        logs = []
+        for executor in (None, ThreadExecutor(2)):
+            program = ToyProgram(n_clusters=7, toxic=(2,))
+            evaluator = ConfigurationEvaluator(
+                program, measurement_noise=0.0, executor=executor,
+            )
+            configs = self.subsets(evaluator.space(), 70)
+            if executor is None:
+                for config in configs:
+                    evaluator.evaluate(config)
+            else:
+                with executor:
+                    trials = evaluator.evaluate_many(iter(configs))
+                assert [t.config for t in trials] == configs
+                assert evaluator.stats.batches == 3  # 32 + 32 + 6
+                assert evaluator.stats.batched_configs == 70
+                assert evaluator.stats.prefetched_executions == 70
+            logs.append(trial_log(evaluator))
+        assert logs[0] == logs[1]
+
+    def test_budget_stop_draws_no_further_than_its_batch(self):
+        program = ToyProgram(n_clusters=14)
+        with ThreadExecutor(2) as executor:
+            evaluator = ConfigurationEvaluator(
+                program, measurement_noise=0.0, executor=executor,
+                max_evaluations=5,
+            )
+            configs = self.subsets(evaluator.space(), 10_000)
+            drawn = []
+
+            def stream():
+                for config in configs:
+                    drawn.append(config)
+                    yield config
+
+            with pytest.raises(SearchBudgetExceeded):
+                evaluator.evaluate_many(stream())
+        assert len(drawn) == BATCH_SIZE
+        assert evaluator.evaluations == 5
 
 
 class TestEvalStats:

@@ -73,6 +73,17 @@ class TestCommands:
         assert artifact.exists()
         assert json.loads(artifact.read_text())["program"] == "tridiag"
 
+    def test_grid_unknown_algorithm_fails_its_job_only(self, tmp_path, capsys, data_env):
+        out_dir = tmp_path / "out"
+        assert main([
+            "grid", "--programs", "eos", "--algorithms", "DD", "XX",
+            "--thresholds", "1e-6", "--max-evaluations", "12", "--no-cache",
+            "--output-dir", str(out_dir), "--run-id", "r",
+        ]) == 1
+        assert "eos/XX@1e-06: MixPBenchError" in capsys.readouterr().out
+        rows = json.loads((out_dir / "runs" / "r" / "results.json").read_text())
+        assert [row["outcome"] is not None for row in rows] == [True, False]
+
 
 class TestProfileCommand:
     def test_profile_double(self, capsys, data_env):

@@ -459,6 +459,20 @@ class TestScheduler:
         assert "WorkerCrash" in job["error"]
         assert job["stats"]["redispatched_shards"] == 1
 
+    def test_unknown_algorithm_fails_its_job_and_the_worker_carries_on(self, data_env):
+        scheduler = Scheduler(data_env / "svc", workers=1)
+        scheduler.start()
+        try:
+            bad = scheduler.submit(GridSpec(
+                programs=("eos",), algorithms=("XX",), thresholds=(1e-6,),
+            ))
+            good = scheduler.submit(small_spec())
+            assert scheduler.wait_job(bad, timeout=180) == "failed"
+            assert scheduler.wait_job(good, timeout=180) == "done"
+        finally:
+            scheduler.stop(drain=True)
+        assert "MixPBenchError" in scheduler.status(bad)["job"]["error"]
+
     def test_redispatch_replays_the_dead_attempts_trials(self, data_env, monkeypatch):
         """A worker that dies after journaling every trial of its shard
         (here the final ``job_done`` append fails) is redispatched, and
