@@ -11,10 +11,14 @@ equivalent lives in tests/test_resume_determinism.py):
    race and finishes first, the resume degenerates to a pure restore
    — still worth checking);
 3. ``--resume`` the victim and require its ``results.json`` to equal
-   the reference's, telemetry aside.
+   the reference's, telemetry aside;
+4. ``--resume`` the complete reference in a fresh process: every job
+   replays its journaled trials (with a cold baseline memo), so the
+   results must be the same, no outcome may count a fresh evaluation,
+   and the journal must not change.
 
 Exit status 0 means the recovered run is indistinguishable from the
-uninterrupted one.
+uninterrupted one and resuming a finished run is read-only.
 """
 
 from __future__ import annotations
@@ -80,12 +84,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     output = Path(args.output_dir)
 
-    print("[1/3] reference grid (uninterrupted)")
+    print("[1/4] reference grid (uninterrupted)")
     subprocess.run(
         [*grid_args(args, output), "--run-id", "reference"], check=True,
     )
 
-    print("[2/3] victim grid (SIGKILL mid-run)")
+    print("[2/4] victim grid (SIGKILL mid-run)")
     victim_journal = output / "runs" / "victim" / "journal.jsonl"
     victim = subprocess.Popen([*grid_args(args, output), "--run-id", "victim"])
     killed = kill_when_journaled(victim, victim_journal, args.kill_after_trials)
@@ -94,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: the victim never journaled anything", file=sys.stderr)
         return 1
 
-    print("[3/3] resume the victim and diff against the reference")
+    print("[3/4] resume the victim and diff against the reference")
     subprocess.run(
         [*grid_args(args, output), "--resume", "victim"], check=True,
     )
@@ -105,6 +109,28 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: recovered results differ from the reference", file=sys.stderr)
         return 1
     print(f"OK: {len(reference)} job(s) recovered bit-identically")
+
+    print("[4/4] resume the finished reference: a read-only replay")
+    journal = output / "runs" / "reference" / "journal.jsonl"
+    journaled = journal.read_bytes()
+    subprocess.run(
+        [*grid_args(args, output), "--resume", "reference"], check=True,
+    )
+    results = output / "runs" / "reference" / "results.json"
+    fresh = sum(
+        payload["outcome"]["metadata"]["eval_stats"]["fresh_evaluations"]
+        for payload in json.loads(results.read_text()) if payload.get("outcome")
+    )
+    if stripped_results(results) != reference:
+        print("FAIL: the replayed reference differs from the reference", file=sys.stderr)
+        return 1
+    if fresh:
+        print(f"FAIL: the replay evaluated {fresh} trial(s) afresh", file=sys.stderr)
+        return 1
+    if journal.read_bytes() != journaled:
+        print("FAIL: resuming a finished run changed its journal", file=sys.stderr)
+        return 1
+    print(f"OK: {len(reference)} finished job(s) replayed, 0 fresh evaluations")
     return 0
 
 

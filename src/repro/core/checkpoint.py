@@ -8,26 +8,26 @@ Our single-node :func:`~repro.harness.scheduler.run_grid` used to lose
 grid run durable:
 
 * :class:`RunJournal` appends one JSON record per event — the run
-  header, every fresh trial of every job, and every finished job — to
-  ``<runs_dir>/<run-id>/journal.jsonl``.  Each append is a single
-  ``write`` of one full line followed by ``flush`` + ``fsync``, so a
-  crash can only ever lose (or tear) the *last* record, never corrupt
-  an earlier one.
+  header, every fresh trial of every job, and a marker naming each
+  finished job — to ``<runs_dir>/<run-id>/journal.jsonl``.  Each
+  append is a single ``write`` of one full line followed by ``flush``
+  + ``fsync``, so a crash can only ever lose (or tear) the *last*
+  record, never corrupt an earlier one.
 * :func:`load_run_state` parses a journal back into a
   :class:`RunState`, stopping at the first incomplete record.  A torn
   tail (the page the crash interrupted) is detected — by a missing
   trailing newline or an unparsable line — and dropped; resuming
   truncates the file back to the last complete record before
   appending, so the journal never accretes garbage.
-* On resume, finished jobs are restored straight from their journaled
-  :class:`~repro.harness.scheduler.JobResult` payloads, and in-flight
-  jobs replay their journaled trials *through the evaluator* (the same
-  replay path the persistent cache uses: identical simulated cost,
-  identical EV increment, no program execution).  The search strategy
-  then re-runs deterministically over the replayed prefix and
-  continues fresh from the cut point, so a resumed grid produces
-  bit-identical ``SearchOutcome``\\ s, tables and trial logs to an
-  uninterrupted one.
+* On resume, every job replays its journaled trials *through the
+  evaluator* (the same replay path the persistent cache uses:
+  identical simulated cost, identical EV increment, no program
+  execution), finished or not; trials a persistent cache answered
+  were never journaled and replay from that cache.  The search
+  strategy re-runs deterministically over the replayed prefix and
+  continues fresh from the cut point (a finished job has none), so a
+  resumed grid produces bit-identical ``SearchOutcome``\\ s, tables and
+  trial logs to an uninterrupted one.
 
 The journal deliberately does *not* record anything derived (best-so-
 far, budgets, strategy internals): strategies are deterministic
@@ -55,7 +55,7 @@ __all__ = [
 
 #: bump when the journal record schema changes; a mismatch refuses to
 #: resume instead of silently mis-replaying
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 #: default root for run journals, relative to the working directory
 DEFAULT_RUNS_DIR = Path("results") / "runs"
@@ -97,10 +97,10 @@ def job_key(index: int, job: Any) -> str:
 class RunState:
     """Everything a journal knows about one run.
 
-    ``finished`` maps job keys to their journaled ``JobResult``
-    payloads; ``trials`` maps in-flight job keys to an *ordered*
+    ``finished`` holds the keys of the jobs that ran to completion;
+    ``trials`` maps job keys, finished or not, to an *ordered*
     ``{config digest: {"context": ..., "record": ...}}`` table of the
-    fresh trials the crashed run completed.  ``valid_bytes`` is the
+    fresh trials the run completed.  ``valid_bytes`` is the
     offset of the last complete record — resuming truncates the file
     there — and ``torn_tail`` reports whether a crash left a partial
     record behind it.
@@ -108,7 +108,7 @@ class RunState:
 
     run_id: str = ""
     meta: dict | None = None
-    finished: dict[str, dict] = field(default_factory=dict)
+    finished: set[str] = field(default_factory=set)
     trials: dict[str, dict[str, dict]] = field(default_factory=dict)
     valid_bytes: int = 0
     torn_tail: bool = False
@@ -181,9 +181,7 @@ def _apply_record(state: RunState, record: dict) -> None:
             "record": record.get("record", {}),
         }
     elif kind == "job_done":
-        key = record.get("job", "")
-        state.finished[key] = record.get("result", {})
-        state.trials.pop(key, None)
+        state.finished.add(record.get("job", ""))
     # unknown kinds are forward-compatible no-ops
 
 
@@ -318,10 +316,8 @@ class RunJournal(JsonlJournal):
             record=dict(record),
         ))
 
-    def append_job_done(self, key: str, result_payload: Mapping) -> None:
-        _apply_record(self.state, self.append(
-            "job_done", job=key, result=dict(result_payload),
-        ))
+    def append_job_done(self, key: str) -> None:
+        _apply_record(self.state, self.append("job_done", job=key))
 
 
 class JournalTrialStore:

@@ -13,11 +13,11 @@ consistency discipline.
 Durability (see docs/fault-tolerance.md): pass ``run_id`` to journal
 the run under ``<runs_dir>/<run-id>/journal.jsonl`` — every completed
 trial and every finished job is fsync'd to disk as it happens — and
-``resume=<run-id>`` to continue a crashed run.  Finished jobs are
-restored from the journal without re-running; in-flight jobs replay
-their journaled trials through the evaluator (same simulated cost,
-same EV) and continue from the cut point, so a resumed grid's results
-are bit-identical to an uninterrupted run's.
+``resume=<run-id>`` to continue a crashed run.  Every job, finished or
+not, replays its journaled trials through the evaluator (same
+simulated cost, same EV) and continues from the cut point, so a
+resumed grid's results are bit-identical to an uninterrupted run's; a
+finished job executes no trial afresh.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.benchmarks.base import get_benchmark
 from repro.core.checkpoint import (
@@ -42,7 +42,7 @@ from repro.verify.quality import QualitySpec
 
 __all__ = [
     "SearchJob", "JobResult", "run_grid", "run_shard", "grid_jobs",
-    "restore_finished", "write_results",
+    "write_results",
 ]
 
 
@@ -81,8 +81,9 @@ class JobResult:
     A failed job carries both the full traceback (``error``) and the
     exception class name (``error_kind``) so schedulers and tables can
     surface *what* went wrong without parsing tracebacks.  ``resumed``
-    marks results restored from a run journal rather than recomputed;
-    it is session state, not part of the interchange payload.
+    marks a job its run journal already held as finished, so its
+    trials were replayed rather than run; it is session state, not
+    part of the interchange payload.
     """
 
     job: SearchJob
@@ -101,16 +102,6 @@ class JobResult:
             "error": self.error,
             "error_kind": self.error_kind,
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping, job: SearchJob) -> "JobResult":
-        outcome = payload.get("outcome")
-        return cls(
-            job=job,
-            outcome=SearchOutcome.from_json_dict(outcome) if outcome else None,
-            error=payload.get("error"),
-            error_kind=payload.get("error_kind"),
-        )
 
 
 def write_results(path: str | Path, results: Iterable[JobResult]) -> None:
@@ -147,23 +138,6 @@ def grid_jobs(
     ]
 
 
-def restore_finished(
-    jobs: Sequence[SearchJob], journal: RunJournal | None,
-) -> list[JobResult | None]:
-    """Each job's result as its journal recorded it finished, in order;
-    ``None`` for a job still to run (and for every job without a journal)."""
-    finished = journal.state.finished if journal is not None else {}
-    results: list[JobResult | None] = []
-    for index, job in enumerate(jobs):
-        payload = finished.get(job_key(index, job))
-        restored = None
-        if payload is not None:
-            restored = JobResult.from_json_dict(payload, job)
-            restored.resumed = True
-        results.append(restored)
-    return results
-
-
 def run_shard(
     job: SearchJob,
     journal: RunJournal | None = None,
@@ -176,8 +150,10 @@ def run_shard(
     :class:`repro.service.scheduler.Scheduler` dispatch to workers.
     With a ``journal``/``key`` the shard's fresh trials are fsync'd as
     they complete, and the trials the journal already holds for ``key``
-    (a crashed run's, or a dead attempt's) are replayed through the
-    evaluator's cache path (bit-identical resume).  ``cache`` injects a
+    (a crashed run's, a dead attempt's, or a finished run's) are
+    replayed through the evaluator's cache path (bit-identical
+    resume); a ``job_done`` marker is appended unless the journal
+    already holds one for ``key``.  ``cache`` injects a
     shared :class:`~repro.runtime.cache.EvaluationCache` *instance*
     (the service's cross-tenant dedupe store); without it, one is
     opened from ``job.cache_dir`` when set.
@@ -208,8 +184,8 @@ def run_shard(
         result = JobResult(
             job=job, error=traceback.format_exc(), error_kind=type(exc).__name__,
         )
-    if journal is not None and key is not None:
-        journal.append_job_done(key, result.to_json_dict())
+    if journal is not None and key is not None and key not in journal.state.finished:
+        journal.append_job_done(key)
     return result
 
 
@@ -246,25 +222,29 @@ def run_grid(
             run_id, jobs, resume=resume is not None,
         )
     try:
-        results = restore_finished(jobs, journal)
-        pending = [
-            (index, job, job_key(index, job))
-            for index, job in enumerate(jobs) if results[index] is None
-        ]
+        # resumed: finished when the journal was opened, so replayed
+        finished = set(journal.state.finished) if journal is not None else set()
+        keys = [job_key(index, job) for index, job in enumerate(jobs)]
         if workers <= 1:
-            for index, job, key in pending:
-                results[index] = _collect(job, run_shard, job, journal=journal, key=key)
+            results = [
+                _collect(job, run_shard, job, journal=journal, key=key)
+                for job, key in zip(jobs, keys)
+            ]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [
-                    (index, job, pool.submit(run_shard, job, journal=journal, key=key))
-                    for index, job, key in pending
+                    pool.submit(run_shard, job, journal=journal, key=key)
+                    for job, key in zip(jobs, keys)
                 ]
                 # collect via futures in submission order: one worker's
                 # exception maps to *its* JobResult and nothing else
-                for index, job, future in futures:
-                    results[index] = _collect(job, future.result)
-        return [result for result in results if result is not None]
+                results = [
+                    _collect(job, future.result)
+                    for job, future in zip(jobs, futures)
+                ]
+        for key, result in zip(keys, results):
+            result.resumed = key in finished
+        return results
     finally:
         if journal is not None:
             journal.close()

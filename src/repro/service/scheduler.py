@@ -41,9 +41,7 @@ from typing import Callable
 from repro.core.checkpoint import JournalError, RunJournal, job_key
 from repro.errors import MixPBenchError
 from repro.harness.options import as_count
-from repro.harness.scheduler import (
-    JobResult, SearchJob, restore_finished, run_shard, write_results,
-)
+from repro.harness.scheduler import JobResult, SearchJob, run_shard, write_results
 from repro.runtime.cache import EvaluationCache
 from repro.service.queue import ServiceJournal, state_paths
 from repro.service.spec import GridSpec, JobRecord
@@ -94,16 +92,13 @@ class _ActiveJob:
         self.shards = shards
         self.keys = [job_key(index, shard) for index, shard in enumerate(shards)]
         self.journal = journal
-        self.results = restore_finished(shards, journal)
-        self.restored = sum(1 for result in self.results if result is not None)
+        self.results: list[JobResult | None] = [None] * len(shards)
+        # finished before this scheduler opened the journal: they replay
+        self.restored = len(journal.state.finished)
         self.in_flight = 0
         self.redispatched = 0
         self.cancel_requested = False
         self.finalized = False
-
-    @property
-    def unfinished(self) -> int:
-        return sum(1 for result in self.results if result is None)
 
 
 class Scheduler:
@@ -299,7 +294,7 @@ class Scheduler:
         done = 0
         total = record.spec.shards
         if active is not None:
-            done = total - active.unfinished
+            done = len(active.journal.state.finished)
         elif record.terminal:
             done = int(record.stats.get("shards_done", 0))
         return {
@@ -393,11 +388,17 @@ class Scheduler:
             if request.name.endswith(".ack.json"):
                 continue
             try:
-                payload = json.loads(request.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue  # mid-write; the atomic rename hasn't landed yet
+                raw = request.read_bytes()
+            except OSError:
+                continue  # gone since the listing
             ack: dict
             try:
+                # requests land whole (write-to-temp + rename), so a
+                # request that does not parse is malformed, not mid-write
+                try:
+                    payload = json.loads(raw)
+                except ValueError as error:  # not JSON, or not UTF-8
+                    raise MixPBenchError(f"request is not UTF-8 JSON: {error}") from None
                 if not isinstance(payload, dict):
                     raise MixPBenchError(
                         f"request must be a JSON object, got {type(payload).__name__}"
@@ -448,15 +449,9 @@ class Scheduler:
             self.paths["runs"], record.job_id, shards,
             resume=resume and journal_path.exists(),
         )
-        active = _ActiveJob(record, shards, journal)
-        for index, result in enumerate(active.results):
-            if result is None:
-                self._queue.put((record.job_id, index))
-        self._active[record.job_id] = active
-        if active.unfinished == 0:
-            # every shard was journaled as done before the crash;
-            # nothing to execute, only the terminal transition was lost
-            self._finalize(active)
+        self._active[record.job_id] = _ActiveJob(record, shards, journal)
+        for index in range(len(shards)):
+            self._queue.put((record.job_id, index))
 
     def _worker_loop(self) -> None:
         for job_id, index in iter(self._queue.get, None):
@@ -514,7 +509,8 @@ class Scheduler:
             active.in_flight -= 1
             done = (
                 active.in_flight == 0
-                if active.cancel_requested else active.unfinished == 0
+                if active.cancel_requested
+                else all(result is not None for result in active.results)
             )
             if done:
                 self._finalize(active)

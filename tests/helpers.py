@@ -6,21 +6,26 @@ protocol analytically: the caller declares which clusters are *toxic*
 (lowering any of them exceeds the quality threshold) and how much
 modeled time each lowered cluster saves.  Every search strategy can be
 exercised against it in microseconds, with fully predictable optima.
+:func:`write_v1_journal` writes a run journal in the first, retired
+journal format.
 """
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
 
 import numpy as np
 
+from repro.core.checkpoint import grid_fingerprint, job_key
 from repro.core.program import ExecutionResult
 from repro.core.types import Precision, PrecisionConfig
 from repro.core.variables import Cluster, Granularity, SearchSpace, Variable, VariableKind
 from repro.runtime.profiler import OpClass, Profile
 from repro.verify.quality import QualitySpec
 
-__all__ = ["ToyProgram", "make_space", "subprocess_env"]
+__all__ = ["ToyProgram", "make_space", "subprocess_env", "write_v1_journal"]
 
 
 def subprocess_env(**fields: str) -> dict[str, str]:
@@ -32,6 +37,23 @@ def subprocess_env(**fields: str) -> dict[str, str]:
     if "PYTHONDONTWRITEBYTECODE" in os.environ:
         env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     return env
+
+
+def write_v1_journal(runs_dir: Path, run_id: str, jobs) -> None:
+    """A version-1 run journal of ``jobs``: its header and a
+    ``job_done`` record that carries the first job's whole result."""
+    records = [
+        {"kind": "run", "run_id": run_id, "version": 1,
+         "grid": grid_fingerprint(jobs),
+         "jobs": [job_key(index, job) for index, job in enumerate(jobs)]},
+        {"kind": "job_done", "job": job_key(0, jobs[0]),
+         "result": {"outcome": None, "error": "x", "error_kind": "RuntimeError"}},
+    ]
+    directory = Path(runs_dir) / run_id
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "journal.jsonl").write_text(
+        "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    )
 
 
 def make_space(

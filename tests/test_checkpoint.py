@@ -2,9 +2,9 @@
 
 The checkpoint layer (repro.core.checkpoint) must never lose a
 completed trial, never replay a half-written one, and never resume
-against the wrong grid; run_grid must restore finished jobs without
-re-running them and must survive a worker exception without dropping
-the rest of the grid.
+against the wrong grid; run_grid must resume a finished job by
+replaying its journaled trials, executing none afresh, and must
+survive a worker exception without dropping the rest of the grid.
 """
 
 import copy
@@ -12,12 +12,13 @@ import json
 
 import pytest
 
+from helpers import write_v1_journal
 from repro.core.checkpoint import (
     JOURNAL_VERSION, JournalError, JournalTrialStore, RunJournal,
     grid_fingerprint, job_key, load_run_state,
 )
 from repro.harness import scheduler
-from repro.harness.scheduler import JobResult, SearchJob, run_grid
+from repro.harness.scheduler import SearchJob, run_grid
 
 
 def _jobs():
@@ -46,21 +47,23 @@ class TestJournalBasics:
             journal.append_trial("0000:a", "ctx", "d1", {"index": 1})
             journal.append_trial("0000:a", "ctx", "d2", {"index": 2})
             journal.append_trial("0001:b", "ctx", "d1", {"index": 1})
-            journal.append_job_done("0000:a", {"outcome": None, "error": "x"})
-        state = load_run_state(tmp_path / "r1" / "journal.jsonl")
+            journal.append_job_done("0000:a")
+        path = tmp_path / "r1" / "journal.jsonl"
+        state = load_run_state(path)
         assert state.run_id == "r1"
         assert state.grid == grid_fingerprint(jobs)
         assert not state.torn_tail
-        # job_done consumes the job's trial table; in-flight jobs keep theirs
-        assert state.finished == {"0000:a": {"outcome": None, "error": "x"}}
-        assert state.job_trials("0000:a") == {}
+        # job_done is a marker: a finished job keeps its trial table for replay
+        assert path.read_text().splitlines()[-1] == '{"job": "0000:a", "kind": "job_done"}'
+        assert state.finished == {"0000:a"}
+        assert list(state.job_trials("0000:a")) == ["d1", "d2"]
         assert state.job_trials("0001:b") == {
             "d1": {"context": "ctx", "record": {"index": 1}},
         }
 
     def test_missing_journal_loads_empty(self, tmp_path):
         state = load_run_state(tmp_path / "nope.jsonl")
-        assert state.finished == {} and state.trials == {}
+        assert state.finished == set() and state.trials == {}
         assert not state.torn_tail
 
     def test_unknown_record_kinds_are_ignored(self, tmp_path):
@@ -71,7 +74,7 @@ class TestJournalBasics:
             + json.dumps({"kind": "job_done", "job": "k", "result": {}}) + "\n"
         )
         state = load_run_state(path)
-        assert state.finished == {"k": {}}
+        assert state.finished == {"k"}
         assert not state.torn_tail
 
     def test_job_key_survives_unknown_algorithm(self):
@@ -108,7 +111,7 @@ class TestTornTail:
         state = load_run_state(path)
         assert state.torn_tail
         assert state.valid_bytes == len(good.encode())
-        assert state.finished == {}  # the record *after* the tear is ignored
+        assert state.finished == set()  # the record *after* the tear is ignored
 
     def test_record_without_kind_is_a_tear(self, tmp_path):
         path = tmp_path / "journal.jsonl"
@@ -144,6 +147,14 @@ class TestJournalGuards:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(JournalError, match="version"):
             RunJournal(tmp_path, "r", [], resume=True)
+
+    def test_resume_refuses_a_version_1_journal(self, data_env, tmp_path):
+        """A journal whose ``job_done`` records carry whole results (the
+        first format) is refused by its version, not half replayed."""
+        jobs = _jobs()
+        write_v1_journal(tmp_path / "runs", "old", jobs)
+        with pytest.raises(JournalError, match="has version 1, this code writes 2"):
+            run_grid(jobs, resume="old", runs_dir=tmp_path / "runs")
 
     def test_resume_requires_a_header(self, tmp_path):
         (tmp_path / "r").mkdir()
@@ -212,22 +223,23 @@ class TestJournalTrialStore:
 
 
 class TestRunGridJournaling:
-    def test_resume_restores_finished_jobs_without_rerunning(
-        self, data_env, tmp_path, monkeypatch
-    ):
+    def test_resuming_a_complete_run_is_read_only(self, data_env, tmp_path):
+        """Every finished job replays its journaled trials: the same
+        results, no trial executed afresh, not one byte journaled."""
         jobs = _jobs()
         runs = tmp_path / "runs"
         first = run_grid(jobs, run_id="r1", runs_dir=runs)
         assert all(result.ok for result in first)
         assert not any(result.resumed for result in first)
+        journal = runs / "r1" / "journal.jsonl"
+        before = journal.read_bytes()
 
-        def boom(*args, **kwargs):
-            raise AssertionError("a finished job was re-run on resume")
-
-        monkeypatch.setattr(scheduler, "run_shard", boom)
         second = run_grid(jobs, resume="r1", runs_dir=runs)
         assert all(result.resumed for result in second)
         assert _payloads(second) == _payloads(first)
+        for result in second:
+            assert result.outcome.metadata["eval_stats"]["fresh_evaluations"] == 0
+        assert journal.read_bytes() == before
 
     def test_resume_continues_from_a_mid_job_cut(self, data_env, tmp_path):
         jobs = _jobs()
@@ -307,11 +319,9 @@ class TestGridCollection:
         )
         job = SearchJob("tridiag", "DD", 1e-6)
         result = run_grid([job], workers=2)[0]
-        payload = result.to_json_dict()
+        payload = json.loads(json.dumps(result.to_json_dict()))
         assert payload["error_kind"] == "OSError"
-        restored = JobResult.from_json_dict(payload, job)
-        assert restored.error_kind == "OSError"
-        assert not restored.ok
+        assert payload["outcome"] is None and "disk gone" in payload["error"]
 
 
 class TestLiveState:
@@ -334,7 +344,7 @@ class TestLiveState:
                 scheduler.run_shard(job, journal=journal, key=job_key(index, job))
                 for index, job in enumerate(jobs[:3])
             ]
-            # the last shard dies before its job_done record
+            # the last shard dies before its job_done marker
             monkeypatch.setattr(RunJournal, "append_job_done", lambda *args: None)
             scheduler.run_shard(jobs[3], journal=journal, key=job_key(3, jobs[3]))
             live = journal.state
@@ -342,9 +352,11 @@ class TestLiveState:
         assert "Traceback" in results[1].error
         assert set(results[2].outcome.metadata) >= {"prune", "shadow", "screen"}
         parsed = load_run_state(tmp_path / "r" / "journal.jsonl")
-        assert len(live.finished) == 3
-        assert list(live.trials) == [job_key(3, jobs[3])]
-        for field in ("meta", "finished", "trials"):
+        assert live.finished == {job_key(index, job) for index, job in enumerate(jobs[:3])}
+        # the error shard ran no trial
+        assert set(live.trials) == {job_key(index, jobs[index]) for index in (0, 2, 3)}
+        assert live.finished == parsed.finished
+        for field in ("meta", "trials"):
             assert json.dumps(getattr(live, field), sort_keys=True) == json.dumps(
                 getattr(parsed, field), sort_keys=True,
             ), field

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 
 from repro.core.checkpoint import JournalError, RunJournal, job_key
 from repro.errors import MixPBenchError
+from helpers import write_v1_journal
 from repro.harness.scheduler import run_grid, run_shard
 from repro.runtime.cache import EvaluationCache
 from repro.service import (
@@ -481,13 +482,13 @@ class TestScheduler:
         holder: dict[str, Scheduler] = {}
         append_job_done = RunJournal.append_job_done
 
-        def fail_once(journal, key, payload):
+        def fail_once(journal, key):
             if "failed" not in holder:
                 holder["failed"] = True
                 # an empty shared cache: only the run journal can replay
                 holder["scheduler"].cache = EvaluationCache(data_env / "cold")
                 raise OSError("synthetic disk error")
-            append_job_done(journal, key, payload)
+            append_job_done(journal, key)
 
         monkeypatch.setattr(RunJournal, "append_job_done", fail_once)
         scheduler = Scheduler(data_env / "svc", workers=1, shard_retries=1)
@@ -534,7 +535,7 @@ class TestScheduler:
 
     def test_stop_without_drain_starts_no_new_shard(self, data_env):
         """``stop(drain=False)`` lets the running shard finish and starts
-        no other; a reopened scheduler restores that shard from the run
+        no other; a reopened scheduler replays that shard from the run
         journal and runs the rest to a direct grid's results."""
         root = data_env / "svc"
         spec = small_spec(programs=("tridiag", "eos"), algorithms=("DD", "GA"))
@@ -586,8 +587,8 @@ class TestScheduler:
 
     def test_recovery_resumes_killed_jobs_trial_by_trial(self, data_env):
         """A SIGKILL'd service's ledger says `running`; the reopened
-        scheduler re-enqueues the job and its finished shard is
-        restored from the run journal instead of recomputed."""
+        scheduler re-enqueues the job and its finished shard replays
+        its journaled trials instead of recomputing them."""
         root = data_env / "svc"
         spec = small_spec(algorithms=("DD", "GA"))
         paths = state_paths(root)
@@ -621,32 +622,40 @@ class TestScheduler:
 
     def test_recovery_fails_a_job_whose_journal_cannot_resume(self, tmp_path):
         """A queued job whose run journal was written for a different
-        grid fingerprint (an older release, say) is failed with the
-        journal's reason; the scheduler still starts and recovers the
-        other jobs."""
+        grid fingerprint, or in the version-1 format an older release
+        wrote, is failed with the journal's reason; the scheduler still
+        starts and recovers the other jobs."""
         root = tmp_path / "svc"
         paths = state_paths(root)
         paths["runs"].mkdir(parents=True, exist_ok=True)
         stale = JobRecord(job_id="job-0001-deadbeef", tenant="alice", spec=small_spec())
         other = JobRecord(job_id="job-0002-cafef00d", tenant="alice",
                           spec=small_spec(max_evaluations=5))
+        old = JobRecord(job_id="job-0003-0ld0ld00", tenant="alice",
+                        spec=small_spec(max_evaluations=6))
         with ServiceJournal(root) as journal:
             journal.append_submit(stale, 1)
             journal.append_submit(other, 2)
+            journal.append_submit(old, 3)
+            journal.append_state(old.job_id, "running")
         # the stale job's journal fingerprints a different shard list
         mismatched = small_spec(max_evaluations=3).jobs()
         RunJournal(paths["runs"], stale.job_id, mismatched).close()
+        write_v1_journal(paths["runs"], old.job_id, old.spec.jobs())
 
         scheduler = Scheduler(root, workers=1)
         try:
             job = scheduler.status(stale.job_id)["job"]
             assert job["state"] == "failed"
             assert "refusing to resume" in job["error"]
+            job = scheduler.status(old.job_id)["job"]
+            assert job["state"] == "failed"
+            assert "has version 1, this code writes 2" in job["error"]
             assert scheduler.status(other.job_id)["job"]["state"] == "queued"
         finally:
             scheduler.stop(drain=False)
-        reopened = load_service_state(paths["journal"]).jobs[stale.job_id]
-        assert reopened.state == "failed"
+        ledger = load_service_state(paths["journal"]).jobs
+        assert ledger[stale.job_id].state == ledger[old.job_id].state == "failed"
 
     def test_ledger_spec_the_validator_now_rejects_still_loads(
         self, tmp_path, capsys,
@@ -693,12 +702,13 @@ class TestScheduler:
             [row] = [line for line in listing.splitlines() if job_id in line]
             assert state in row
 
-    def test_recovery_finalizes_fully_journaled_job_without_workers(
+    def test_recovery_finalizes_a_fully_journaled_job_with_zero_fresh_evaluations(
         self, data_env
     ):
         """If every shard was journaled before the crash, only the
-        terminal ledger transition was lost — recovery writes it (and
-        results.json) without executing anything."""
+        terminal ledger transition was lost: one worker replays every
+        shard's journaled trials, executes none afresh, and writes the
+        direct grid's results."""
         root = data_env / "svc"
         spec = small_spec()
         paths = state_paths(root)
@@ -712,12 +722,20 @@ class TestScheduler:
             for index, shard in enumerate(shards):
                 run_shard(shard, journal=run_journal, key=job_key(index, shard))
 
-        scheduler = Scheduler(root)  # note: start() never called
-        job = scheduler.status(record.job_id)["job"]
-        scheduler.stop(drain=False)
-        assert job["state"] == "done"
-        assert job["stats"]["shards_restored"] == 1
-        assert results_path(root, record.job_id).exists()
+        # an empty shared cache: only the run journal can replay
+        scheduler = Scheduler(root, workers=1)
+        scheduler.start()
+        try:
+            assert scheduler.wait_job(record.job_id, timeout=180) == "done"
+        finally:
+            scheduler.stop(drain=True)
+        stats = scheduler.status(record.job_id)["job"]["stats"]
+        assert stats["shards_restored"] == 1
+        assert stats["evaluations"] > 0
+        assert stats["fresh_evaluations"] == 0
+        direct = [r.to_json_dict() for r in run_grid(spec.jobs())]
+        served = json.loads(results_path(root, record.job_id).read_text())
+        assert stripped(served) == stripped(direct)
 
 
 # ---------------------------------------------------------------------------
@@ -756,13 +774,15 @@ class TestSpoolAndClient:
         ("req-1.json", {"tenant": ["alice"], "spec": SMALL_JSON}),
         ("req-1.cancel.json", "job-0001"),
         ("req-1.cancel.json", {"job_id": ["job-0001"]}),
+        pytest.param("req-1.json", b'{"tenant": "\xff\xfe"}', id="not-utf8"),
     ])
     def test_poison_request_is_rejected_and_removed(self, tmp_path, name, body):
         """A malformed request gets an ``ok: false`` ack and is deleted,
         and the spool keeps serving: a valid submit after it is taken."""
         scheduler = Scheduler(tmp_path / "svc")
         spool = scheduler.paths["spool"]
-        (spool / name).write_text(json.dumps(body))
+        (spool / name).write_bytes(
+            body if isinstance(body, bytes) else json.dumps(body).encode())
         (spool / "req-2.json").write_text(
             json.dumps({"tenant": "alice", "spec": SMALL_JSON}))
         try:
